@@ -28,25 +28,73 @@ sizes the experiments use); numerically degenerate candidates fall back to
 a diagonal approximation, which only ever affects points whose posterior
 has already collapsed onto data.
 
+Candidate sweep
+---------------
+Apart from the GEMMs, the per-step work is elementwise numpy over the
+candidates. At a million candidates, full-width passes spend their time
+moving temporaries through memory, so every per-step pass (the new cross
+row, the gradient fixups, the mean, the downdate, and the whole
+acquisition) runs block by block instead: the candidates are split into
+equal blocks of at most ``_CHUNK`` (20,000) rows, whose temporaries stay in
+cache, and the blocks are spread over a module-level thread pool with one
+worker per CPU the process may run on (numpy releases the GIL inside its
+loops). A single block runs in the calling thread. BLAS calls stay on the
+calling thread, full width: the fused GEMM of ``append``, the GEMM that
+refreshes a stale posterior mean, and the triangular solves of ``fit``.
+OpenBLAS threads them itself, and running them inside the workers as well
+oversubscribes the cores. Workers run numpy on slices of the caches only
+and never call into ``kernels``, ``gp`` or ``numerics``, so anything that
+wraps those functions sees calls from one thread. No arithmetic depends on
+the block bounds, so the results do not depend on the block size or the
+worker count.
+
 Everything here is an internal optimization detail; the scalar reference
 path lives in ``multibo.gp`` and the two are held together by tests.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import erfc
 
 from . import numerics
+from .errors import GridTooLarge
 from .gp import GPState
 from .kernels import Polynomial, SquaredExponential
 from .numerics import CholeskyFactor
 
-_CHUNK = 20_000  # candidate rows per block in full rebuilds
+_CHUNK = 20_000  # candidate rows per block in full rebuilds and sweeps
 
 _INV_SQRT_2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _executor() -> ThreadPoolExecutor:
+    """The sweep's worker pool, one thread per CPU this process may run on."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(len(os.sched_getaffinity(0)),
+                                       thread_name_prefix="multibo-sweep")
+        return _pool
+
+
+def _forget_pool():
+    # a forked child inherits the pool object but none of its threads
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _q(z):
@@ -82,6 +130,17 @@ class CandidateEvaluator:
         self.capacity = int(capacity)
         n_cand, n = self.cands.shape
         self.n = n
+        # packed upper triangle of the (1+n) x (1+n) joint covariance, entry-major
+        self._pairs = [(i, j) for i in range(1 + n) for j in range(i, 1 + n)]
+        self._pos = {pair: p for p, pair in enumerate(self._pairs)}
+        polynomial = isinstance(kernel, Polynomial)
+        need = self._bytes_needed(n_cand, n, self.capacity, 2 if polynomial else 1)
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if need > have:
+            raise GridTooLarge(
+                f"{n_cand} candidates at capacity {self.capacity} need about {need} bytes; "
+                f"this machine has {have} bytes of physical memory"
+            )
         self._X = np.empty((self.capacity, n))
         self._f = np.empty(self.capacity)
         self._L = np.zeros((self.capacity, self.capacity))
@@ -90,10 +149,7 @@ class CandidateEvaluator:
         self._alpha = np.empty(0)
         # cross caches are sample-major: row j holds sample j against all candidates
         self._kcs = np.empty((self.capacity, n_cand))
-        self._pcs = np.empty((self.capacity, n_cand)) if isinstance(kernel, Polynomial) else None
-        # packed upper triangle of the (1+n) x (1+n) joint covariance, entry-major
-        self._pairs = [(i, j) for i in range(1 + n) for j in range(i, 1 + n)]
-        self._pos = {pair: p for p, pair in enumerate(self._pairs)}
+        self._pcs = np.empty((self.capacity, n_cand)) if polynomial else None
         self._scov = np.empty((len(self._pairs), n_cand))
         k0_val, k0_cross, k0_hess = kernel.joint_blocks_batch(self.cands)
         k0p = np.empty((len(self._pairs), n_cand))
@@ -111,81 +167,98 @@ class CandidateEvaluator:
             self._k0p = k0p
         self._mu = np.empty((n_cand, 1 + n))
         self._mu_fresh = False
-        self._u = np.empty((n_cand, 1 + n))
-        self._v = np.empty((n_cand, 1 + n))
-        self._fused = np.empty((n_cand, 2 * (1 + n)))
-        self._w1 = np.empty(n_cand)
+
+    @staticmethod
+    def _bytes_needed(n_cand, n, capacity, cross_caches):
+        """Bytes of the evaluator's arrays: the cross caches, the Cholesky
+        factor and samples, the packed covariances with their prior blocks,
+        the posterior mean and the sweep's full-width buffers (the fused
+        GEMM output and the acquisition values)."""
+        width = 1 + n
+        packed = width * (width + 1) // 2
+        rows = cross_caches * capacity + 2 * packed + width + (2 * width + 1)
+        return 8 * (rows * n_cand + capacity * (capacity + n + 1))
+
+    # -- candidate sweep -----------------------------------------------------
+
+    def _sweep(self, fn):
+        """``fn(rows)`` for each block of candidate rows; results in block order."""
+        n_cand = self.cands.shape[0]
+        count = -(-n_cand // _CHUNK)
+        if count <= 1:
+            return [fn(slice(0, n_cand))]
+        blocks = [slice(b * n_cand // count, (b + 1) * n_cand // count) for b in range(count)]
+        return list(_executor().map(fn, blocks))
 
     # -- kernel cross columns ------------------------------------------------
 
-    def _fill_column(self, j, x):
-        """Kernel (and dot-product) row of sample ``x`` against all candidates."""
+    def _fill_column(self, j, x, rows=slice(None)):
+        """Kernel (and dot-product) row of sample ``x`` against candidate ``rows``."""
+        # sums over dims run column by column, in np.sum's order; a 2-D op
+        # over (rows, n) loops over n innermost, and a BLAS gemv rounds
+        # differently with the row count and its threads
+        cands = self.cands[rows]
         if isinstance(self.kernel, SquaredExponential):
-            d2 = np.sum((self.cands - x) ** 2, axis=1)
-            self._kcs[j] = self.kernel.alpha * np.exp(
+            d2 = (cands[:, 0] - x[0]) ** 2
+            for d in range(1, self.n):
+                d2 += (cands[:, d] - x[d]) ** 2
+            self._kcs[j, rows] = self.kernel.alpha * np.exp(
                 -d2 / (2.0 * self.kernel.length_scale**2)
             )
         else:
-            p = self.cands @ x
-            self._pcs[j] = p
-            self._kcs[j] = self.kernel.alpha_bar * (p - self.kernel.offset) ** self.kernel.degree
+            p = cands[:, 0] * x[0]
+            for d in range(1, self.n):
+                p += cands[:, d] * x[d]
+            self._pcs[j, rows] = p
+            self._kcs[j, rows] = self.kernel.alpha_bar * (p - self.kernel.offset) ** self.kernel.degree
 
-    def _grad_fixup(self, out):
-        """Turn raw GEMM columns into gradient rows for the SE kernel.
-
-        After the GEMM, column 0 holds sum_r w_r k(x, x_r) and the rest hold
-        sum_r w_r x_r k(x, x_r); the SE gradient weight sum is
-        (sum_r w_r x_r k - x sum_r w_r k) / l^2.
-        """
-        l2 = self.kernel.length_scale**2
-        grad = out[:, 1:]
-        grad -= self.cands * out[:, [0]]
-        grad /= l2
-
-    def _joint_dot(self, w, out):
-        """A(x) @ w for every candidate, written into ``out`` (N, 1 + n)."""
+    def _joint_dot(self, weights, out):
+        """Raw GEMM columns for A(x) @ w, one (1 + n)-column group of ``out``
+        (N, len(weights) (1 + n)) per weight; ``_finish_dot`` completes a group."""
         k = self._k
-        kcs = self._kcs[:k]
         X = self._X[:k]
         if isinstance(self.kernel, SquaredExponential):
-            np.matmul(kcs.T, np.column_stack([w, w[:, None] * X]), out=out)
-            self._grad_fixup(out)
+            stacked = np.column_stack([col for w in weights for col in (w, w[:, None] * X)])
+            np.matmul(self._kcs[:k].T, stacked, out=out)
         else:
-            np.matmul(kcs.T, w[:, None], out=out[:, :1])
-            np.matmul(self._pcs[:k].T, w[:, None] * X, out=out[:, 1:])
-            out[:, 1:] *= 2.0 * self.kernel.alpha_bar
+            width = 1 + self.n
+            for g, w in enumerate(weights):
+                np.matmul(self._kcs[:k].T, w[:, None], out=out[:, g * width:g * width + 1])
+                np.matmul(self._pcs[:k].T, w[:, None] * X,
+                          out=out[:, g * width + 1:(g + 1) * width])
         return out
 
-    def _joint_dot_pair(self, w1, w2, out1, out2):
-        """A(x) @ w1 and A(x) @ w2 in one pass over the cross cache."""
-        k = self._k
-        X = self._X[:k]
-        if isinstance(self.kernel, SquaredExponential):
-            stacked = np.column_stack([w1, w1[:, None] * X, w2, w2[:, None] * X])
-            np.matmul(self._kcs[:k].T, stacked, out=self._fused)
-            width = 1 + self.n
-            out1[:] = self._fused[:, :width]
-            out2[:] = self._fused[:, width:]
-            self._grad_fixup(out1)
-            self._grad_fixup(out2)
-        else:
-            self._joint_dot(w1, out1)
-            self._joint_dot(w2, out2)
-        return out1, out2
+    def _finish_dot(self, out, rows):
+        """Turn one group of raw GEMM columns for candidate ``rows`` into A(x) @ w.
 
-    def _joint_column(self, x, kcol, pcol, out):
-        """Joint kernel column [k(x_c, x); grad_y k(y, x)|_{y=x_c}] per candidate."""
-        out[:, 0] = kcol
+        For the SE kernel, column 0 holds sum_r w_r k(x, x_r) and the rest
+        hold sum_r w_r x_r k(x, x_r); the gradient weight sum is
+        (sum_r w_r x_r k - x sum_r w_r k) / l^2.
+        """
+        # column by column: a 2-D op over (rows, n) views loops over n innermost
+        for d in range(self.n):
+            grad = out[:, 1 + d]
+            if isinstance(self.kernel, SquaredExponential):
+                grad -= self.cands[rows, d] * out[:, 0]
+                grad /= self.kernel.length_scale**2
+            else:
+                grad *= 2.0 * self.kernel.alpha_bar
+        return out
+
+    def _joint_column(self, x, j, rows):
+        """Joint kernel column [k(x_c, x); grad_y k(y, x)|_{y=x_c}] of sample
+        ``x`` (cross row ``j``) for candidate ``rows``, entry-major (1 + n, rows)."""
+        kcol = self._kcs[j, rows]
+        out = np.empty((1 + self.n, kcol.shape[0]))
+        out[0] = kcol
         if isinstance(self.kernel, SquaredExponential):
             l2 = self.kernel.length_scale**2
             for d in range(self.n):
-                np.subtract(self.cands[:, d], x[d], out=self._w1)
-                self._w1 *= kcol
-                self._w1 /= -l2
-                out[:, 1 + d] = self._w1
+                out[1 + d] = (self.cands[rows, d] - x[d]) * kcol / -l2
         else:
+            pcol = self._pcs[j, rows]
             for d in range(self.n):
-                np.multiply(pcol, 2.0 * self.kernel.alpha_bar * x[d], out=out[:, 1 + d])
+                np.multiply(pcol, 2.0 * self.kernel.alpha_bar * x[d], out=out[1 + d])
         return out
 
     # -- fitting -------------------------------------------------------------
@@ -256,11 +329,8 @@ class CandidateEvaluator:
             return
         lam = np.sqrt(lam2)
         c = solve_triangular(L.T, l_row, lower=False)
-        # extend the sample set first so the fused pass sees the new column
-        self._fill_column(k, x_new)
-        kcol = self._kcs[k]
-        pcol = self._pcs[k] if self._pcs is not None else None
-        v = self._joint_column(x_new, kcol, pcol, out=self._v)
+        # extend the sample set first so the fused GEMM sees the new cross row
+        self._sweep(lambda rows: self._fill_column(k, x_new, rows))
         self._X[k] = x_new
         self._f[k] = f_new
         self._L[k, :k] = l_row
@@ -269,16 +339,27 @@ class CandidateEvaluator:
         self._refresh_alpha()
         # one fused GEMM yields both the downdate projection (old samples,
         # weight c padded with 0) and the new posterior mean (weight alpha)
-        c_pad = np.append(c, 0.0)
-        self._joint_dot_pair(c_pad, self._alpha, self._u, self._mu)
-        self._mu[:, 0] += self.prior_mean
+        raw = np.empty((self.cands.shape[0], 2 * (1 + self.n)))
+        self._joint_dot((np.append(c, 0.0), self._alpha), out=raw)
+        self._sweep(lambda rows: self._downdate(rows, raw, x_new, lam))
         self._mu_fresh = True
-        v -= self._u
+
+    def _downdate(self, rows, raw, x_new, lam):
+        """Finish the fused GEMM for candidate ``rows``: store the posterior
+        mean and downdate the packed covariances by v v^T for the newest
+        sample ``x_new``."""
+        width = 1 + self.n
+        u = self._finish_dot(raw[rows, :width], rows)
+        mu = self._finish_dot(raw[rows, width:], rows)
+        v = self._joint_column(x_new, self._k - 1, rows)
+        for i in range(width):
+            self._mu[rows, i] = mu[:, i]
+            v[i] -= u[:, i]
+        self._mu[rows, 0] += self.prior_mean
         v /= lam
-        t = self._w1
+        scov = self._scov[:, rows]
         for p, (i, j) in enumerate(self._pairs):
-            np.multiply(v[:, i], v[:, j], out=t)
-            self._scov[p] -= t
+            scov[p] -= v[i] * v[j]
 
     # -- posterior statistics --------------------------------------------------
 
@@ -311,8 +392,13 @@ class CandidateEvaluator:
     def posterior_mean(self) -> np.ndarray:
         """Joint posterior mean per candidate, shape (N, 1 + n)."""
         if not self._mu_fresh:
-            self._joint_dot(self._alpha, out=self._mu)
-            self._mu[:, 0] += self.prior_mean
+            self._joint_dot((self._alpha,), out=self._mu)
+
+            def finish(rows):
+                self._finish_dot(self._mu[rows], rows)
+                self._mu[rows, 0] += self.prior_mean
+
+            self._sweep(finish)
             self._mu_fresh = True
         return self._mu
 
@@ -323,50 +409,55 @@ class CandidateEvaluator:
             m[i, j] = m[j, i] = self._scov[p, index]
         return m
 
-    def _sxx(self):
-        return self._scov[self._pos[(0, 0)]]
+    def _sxx(self, rows):
+        return self._scov[self._pos[(0, 0)], rows]
 
-    def _sxy(self, d):
-        return self._scov[self._pos[(0, 1 + d)]]
+    def _sxy(self, d, rows):
+        return self._scov[self._pos[(0, 1 + d)], rows]
 
-    def _syy(self, i, j):
+    def _syy(self, i, j, rows):
         key = (1 + i, 1 + j) if i <= j else (1 + j, 1 + i)
-        return self._scov[self._pos[key]]
+        return self._scov[self._pos[key], rows]
 
-    def _band_probability(self, mu_y, epsilon):
-        prob = np.ones(self.cands.shape[0])
+    def _band_probability(self, mu_y, epsilon, rows):
+        prob = np.ones(mu_y.shape[0])
         for d in range(self.n):
-            s = np.sqrt(np.maximum(self._syy(d, d), 0.0))
+            s = np.sqrt(np.maximum(self._syy(d, d, rows), 0.0))
             mu_d = mu_y[:, d]
             safe = np.where(s > 0.0, s, 1.0)
             spread = _q((-epsilon - mu_d) / safe) - _q((epsilon - mu_d) / safe)
             prob *= np.where(s > 0.0, spread, (np.abs(mu_d) < epsilon).astype(float))
         return np.clip(prob, 0.0, 1.0)
 
-    def _conditional_stats(self, mu):
-        """Value mean/std conditioned on gradient 0 per candidate.
+    def _conditional_stats(self, mu, rows, first):
+        """Value mean/std conditioned on gradient 0 for candidate ``rows``.
 
         Solves the (regularized) gradient block in closed form for n <= 3.
         The conditional variance is clamped into [0, S_xx]: conditioning on
-        the gradient can only shrink the value variance.
+        the gradient can only shrink the value variance. Also returns the
+        jitter index of the n > 3 solve (0 for n <= 3), which starts at
+        ``first``.
         """
         n = self.n
-        sxx = self._sxx()
-        resid = -mu[:, 1:]
+        sxx = self._sxx(rows)
+        resid = np.empty((mu.shape[0], n))
+        for d in range(n):  # column by column, as in _finish_dot
+            np.negative(mu[:, 1 + d], out=resid[:, d])
         if n <= 3:
-            beta_r, beta_s = self._solve_syy_small(resid)
+            beta_r, beta_s = self._solve_syy_small(resid, rows)
+            used = 0
         else:
-            beta_r, beta_s = self._solve_syy_generic(resid)
+            beta_r, beta_s, used = self._solve_syy_generic(resid, rows, first)
         gain = np.zeros_like(sxx)
         shrink = np.zeros_like(sxx)
         for d in range(n):
-            gain += self._sxy(d) * beta_r[:, d]
-            shrink += self._sxy(d) * beta_s[:, d]
+            gain += self._sxy(d, rows) * beta_r[:, d]
+            shrink += self._sxy(d, rows) * beta_s[:, d]
         cond_mean = mu[:, 0] + gain
         cond_var = np.clip(sxx - shrink, 0.0, np.maximum(sxx, 0.0))
-        return cond_mean, np.sqrt(cond_var)
+        return cond_mean, np.sqrt(cond_var), used
 
-    def _solve_syy_small(self, resid):
+    def _solve_syy_small(self, resid, rows):
         """Closed-form solve of S_yy b = rhs for rhs in {resid, S_yx}, n <= 3.
 
         Diagonal entries are floored at a tiny relative level; candidates
@@ -375,8 +466,8 @@ class CandidateEvaluator:
         factor controls the acquisition there anyway).
         """
         n = self.n
-        N = self.cands.shape[0]
-        d = [np.maximum(self._syy(i, i), 0.0) for i in range(n)]
+        N = resid.shape[0]
+        d = [np.maximum(self._syy(i, i, rows), 0.0) for i in range(n)]
         scale = d[0].copy()
         for i in range(1, n):
             np.maximum(scale, d[i], out=scale)
@@ -384,13 +475,13 @@ class CandidateEvaluator:
         dsafe = [np.maximum(d[i], floor) for i in range(n)]
         beta_r = np.empty((N, n))
         beta_s = np.empty((N, n))
-        sxy = [self._sxy(i) for i in range(n)]
+        sxy = [self._sxy(i, rows) for i in range(n)]
         if n == 1:
             beta_r[:, 0] = resid[:, 0] / dsafe[0]
             beta_s[:, 0] = sxy[0] / dsafe[0]
             return beta_r, beta_s
         if n == 2:
-            o = self._syy(0, 1)
+            o = self._syy(0, 1, rows)
             det = dsafe[0] * dsafe[1] - o * o
             ok = np.abs(det) > 1e-12 * np.maximum(scale, 1.0) ** 2
             det_safe = np.where(ok, det, 1.0)
@@ -401,7 +492,7 @@ class CandidateEvaluator:
                 beta[:, 1] = np.where(ok, b1, rhs[:, 1] / dsafe[1])
             return beta_r, beta_s
         a, b, c = dsafe
-        e, f, g = self._syy(0, 1), self._syy(0, 2), self._syy(1, 2)
+        e, f, g = self._syy(0, 1, rows), self._syy(0, 2, rows), self._syy(1, 2, rows)
         c00 = b * c - g * g
         c01 = f * g - e * c
         c02 = e * g - f * b
@@ -418,13 +509,16 @@ class CandidateEvaluator:
             beta[:, 2] = np.where(ok, (c02 * r0 + c12 * r1 + c22 * r2) / det_safe, r2 / c)
         return beta_r, beta_s
 
-    def _solve_syy_generic(self, resid):
+    def _solve_syy_generic(self, resid, rows, first):
+        """Batched solve of S_yy b = rhs, trying the jitter schedule from index
+        ``first``; returns the index that succeeded (the schedule's length when
+        the diagonal fallback ran)."""
         n = self.n
-        N = self.cands.shape[0]
+        N = resid.shape[0]
         syy = np.empty((N, n, n))
         for i in range(n):
             for j in range(i, n):
-                syy[:, i, j] = syy[:, j, i] = self._syy(i, j)
+                syy[:, i, j] = syy[:, j, i] = self._syy(i, j, rows)
         diag = np.einsum("aii->ai", syy)
         floor = 1e-12 * np.maximum(diag.max(axis=1), 1.0)
         idx = np.arange(n)
@@ -432,32 +526,49 @@ class CandidateEvaluator:
         rhs = np.empty((N, n, 2))
         rhs[:, :, 0] = resid
         for d in range(n):
-            rhs[:, d, 1] = self._sxy(d)
-        sol = None
-        for jitter in self.jitter_schedule:
+            rhs[:, d, 1] = self._sxy(d, rows)
+        for used in range(first, len(self.jitter_schedule)):
             try:
-                sol = np.linalg.solve(syy + jitter * np.eye(n), rhs)
-                break
+                sol = np.linalg.solve(syy + self.jitter_schedule[used] * np.eye(n), rhs)
+                return sol[:, :, 0], sol[:, :, 1], used
             except np.linalg.LinAlgError:
                 continue
-        if sol is None:
-            # last resort: diagonal approximation
-            sol = rhs / np.maximum(diag, floor[:, None])[:, :, None]
-        return sol[:, :, 0], sol[:, :, 1]
+        # last resort: diagonal approximation
+        sol = rhs / np.maximum(diag, floor[:, None])[:, :, None]
+        return sol[:, :, 0], sol[:, :, 1], len(self.jitter_schedule)
 
     def acquisition_values(self, cfg) -> np.ndarray:
         """Acquisition of the configured family at every candidate."""
         mu = self.posterior_mean()
+        out = np.empty(self.cands.shape[0])
+        # every block must settle on the same jitter for its n > 3 gradient
+        # solve: the first one that succeeds for all candidates
+        first = 0
+        while True:
+            used = self._sweep(lambda rows: self._acquire(cfg, mu, rows, first, out))
+            if min(used, default=first) == max(used, default=first):
+                return out
+            first = max(used)
+
+    def _acquire(self, cfg, mu, rows, first, out):
+        """``acquisition_values`` for candidate ``rows``, written into ``out``;
+        returns the jitter index of the n > 3 gradient solve (0 if none ran)."""
+        mu = mu[rows]
         if cfg.family in ("vanilla_pi", "vanilla_ei"):
             mean = mu[:, 0]
-            std = np.sqrt(np.maximum(self._sxx(), 0.0))
+            std = np.sqrt(np.maximum(self._sxx(rows), 0.0))
             if cfg.family == "vanilla_pi":
-                return _improvement_probability_vec(mean, std, cfg.threshold)
-            return _expected_improvement_vec(mean, std, cfg.threshold)
-        band = self._band_probability(mu[:, 1:], cfg.epsilon)
+                out[rows] = _improvement_probability_vec(mean, std, cfg.threshold)
+            else:
+                out[rows] = _expected_improvement_vec(mean, std, cfg.threshold)
+            return 0
+        band = self._band_probability(mu[:, 1:], cfg.epsilon, rows)
         if cfg.family == "derivative_only":
-            return band
-        cond_mean, cond_std = self._conditional_stats(mu)
+            out[rows] = band
+            return 0
+        cond_mean, cond_std, used = self._conditional_stats(mu, rows, first)
         if cfg.family == "joint_pi":
-            return _improvement_probability_vec(cond_mean, cond_std, cfg.threshold) * band
-        return _expected_improvement_vec(cond_mean, cond_std, cfg.threshold) * band
+            out[rows] = _improvement_probability_vec(cond_mean, cond_std, cfg.threshold) * band
+        else:
+            out[rows] = _expected_improvement_vec(cond_mean, cond_std, cfg.threshold) * band
+        return used

@@ -33,10 +33,6 @@ class Unsupported(MultiboError):
     """Requested operation is outside the implemented parameter range."""
 
 
-class ZeroVariance(MultiboError):
-    """A distribution is degenerate where positive variance is required."""
-
-
 class GridTooLarge(MultiboError):
     """Candidate or search grid exceeds the configured size limit."""
 

@@ -352,7 +352,12 @@ def _shubert_benchmark() -> BenchmarkSpec:
 
 
 def synthetic_benchmark(bumps=None) -> BenchmarkSpec:
-    fn = SyntheticBumps() if bumps is None else SyntheticBumps(tuple(bumps))
+    return _synthetic_benchmark(None if bumps is None else tuple(map(tuple, bumps)))
+
+
+@lru_cache(maxsize=None)
+def _synthetic_benchmark(bumps) -> BenchmarkSpec:
+    fn = SyntheticBumps() if bumps is None else SyntheticBumps(bumps)
     maxima = fn.local_maxima()
     truths = [np.array([m]) for m in maxima]
     return _spec("synthetic1d", 1, [(0.0, 1.0)], fn, truths, extras={"bumps": fn.bumps})

@@ -16,13 +16,14 @@ gradient norm to fall within the band half-width.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from . import numerics
-from .acquisition import AcquisitionConfig, evaluate as evaluate_acquisition
-from .engine import CandidateEvaluator
+from .acquisition import AcquisitionConfig
+from .engine import _CHUNK, CandidateEvaluator
 from .errors import ConfigError, Exhausted, GridTooLarge, NonFinite
 from .gp import GPState
 from .kernels import Kernel
@@ -162,13 +163,16 @@ def generate_candidates(cfg: OptimizerConfig, seed: int | None = None) -> np.nda
 _DIST_RTOL = 1e-9
 
 
-def _feasible_mask(candidates: np.ndarray, history: np.ndarray, d: float) -> np.ndarray:
+def _feasible_mask(candidates: np.ndarray, points: np.ndarray, d: float) -> np.ndarray:
+    """True where a candidate is at least ``d`` from every row of ``points``."""
     mask = np.ones(candidates.shape[0], dtype=bool)
-    if d <= 0 or history.shape[0] == 0:
+    if d <= 0 or points.shape[0] == 0:
         return mask
     cut = d * d * (1.0 - _DIST_RTOL)
-    for h in history:
-        mask &= np.sum((candidates - h) ** 2, axis=1) >= cut
+    # candidate blocks keep the distance matrix at _CHUNK rows
+    for start in range(0, candidates.shape[0], _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        mask[rows] = np.all(cdist(candidates[rows], points, "sqeuclidean") >= cut, axis=1)
     return mask
 
 
@@ -234,6 +238,12 @@ def run(objective, cfg: OptimizerConfig, truths=None) -> RunTrace:
             return None
         return float(np.min(np.linalg.norm(truths - p, axis=1)))
 
+    # allocated before the first objective call, so a grid too large for
+    # memory fails before any evaluation is spent
+    evaluator = CandidateEvaluator(
+        cfg.kernel, candidates, cfg.prior_mean,
+        capacity=priors.shape[0] + cfg.budget, jitter_schedule=cfg.jitter_schedule,
+    )
     acq_cfg = cfg.acquisition
     records = []
     prior_values = []
@@ -245,10 +255,6 @@ def run(objective, cfg: OptimizerConfig, truths=None) -> RunTrace:
             acquisition=None, flagged=False, distance=truth_distance(p),
         ))
 
-    evaluator = CandidateEvaluator(
-        cfg.kernel, candidates, cfg.prior_mean,
-        capacity=priors.shape[0] + cfg.budget, jitter_schedule=cfg.jitter_schedule,
-    )
     evaluator.fit(priors, prior_values)
     mask = _feasible_mask(candidates, priors, cfg.min_distance)
 
@@ -275,9 +281,7 @@ def run(objective, cfg: OptimizerConfig, truths=None) -> RunTrace:
             acquisition=float(acq[idx]), flagged=bool(flag),
             distance=truth_distance(point),
         ))
-        if cfg.min_distance > 0:
-            cut = cfg.min_distance**2 * (1.0 - _DIST_RTOL)
-            mask &= np.sum((candidates - point) ** 2, axis=1) >= cut
+        mask &= _feasible_mask(candidates, point[None, :], cfg.min_distance)
 
     return RunTrace(
         steps=tuple(records),
