@@ -25,7 +25,7 @@ from .gp import (
     joint_posterior,
     value_posterior,
 )
-from .kernels import JointKernelBlocks, Polynomial, SquaredExponential
+from .kernels import Polynomial, SquaredExponential
 from .metrics import MetricReport, average_distance, first_hit_steps
 from .numerics import CholeskyFactor, cholesky, normal_pdf, q_function, solve
 from .objectives import (

@@ -19,6 +19,15 @@ products A(x) c and A(x) alpha (posterior mean) collapse into a single
 dense GEMM against the cached cross columns, so the per-iteration cost is
 O(N k) instead of O(N k^2).
 
+The engine never branches on kernel type. The kernel supplies every
+kernel-specific batched piece (see ``multibo.kernels``): how many cache rows
+it keeps per sample (``cross_rows``), whether its prior block is the same at
+every candidate (``stationary``, in which case one packed column is kept),
+the new sample's cache rows (``fill_cross``), the raw A(x) @ W GEMM
+(``joint_dot``) with its gradient fixup (``finish_dot``), and the new
+sample's joint column (``joint_column``). The engine keeps the Cholesky
+factor, the packed covariances, the mean, the sweep and the acquisition.
+
 If the factor update fails (duplicate or near-duplicate sample), the state
 is refit from scratch through the jitter schedule and the cached
 covariances are rebuilt exactly.
@@ -42,9 +51,11 @@ loops). A single block runs in the calling thread. BLAS calls stay on the
 calling thread, full width: the fused GEMM of ``append``, the GEMM that
 refreshes a stale posterior mean, and the triangular solves of ``fit``.
 OpenBLAS threads them itself, and running them inside the workers as well
-oversubscribes the cores. Workers run numpy on slices of the caches only
-and never call into ``kernels``, ``gp`` or ``numerics``, so anything that
-wraps those functions sees calls from one thread. No arithmetic depends on
+oversubscribes the cores. Workers run numpy on slices of the caches only:
+of the kernel they call ``fill_cross``, ``finish_dot`` and
+``joint_column``, never ``eval_matrix``, ``grad_tensor`` or
+``joint_blocks_batch``, and nothing in ``gp`` or ``numerics``, so anything
+that wraps those functions sees calls from one thread. No arithmetic depends on
 the block bounds, so the results do not depend on the block size or the
 worker count.
 
@@ -65,7 +76,6 @@ from scipy.special import erfc
 from . import numerics
 from .errors import GridTooLarge
 from .gp import GPState
-from .kernels import Polynomial, SquaredExponential
 from .numerics import CholeskyFactor
 
 _CHUNK = 20_000  # candidate rows per block in full rebuilds and sweeps
@@ -133,8 +143,7 @@ class CandidateEvaluator:
         # packed upper triangle of the (1+n) x (1+n) joint covariance, entry-major
         self._pairs = [(i, j) for i in range(1 + n) for j in range(i, 1 + n)]
         self._pos = {pair: p for p, pair in enumerate(self._pairs)}
-        polynomial = isinstance(kernel, Polynomial)
-        need = self._bytes_needed(n_cand, n, self.capacity, 2 if polynomial else 1)
+        need = self._bytes_needed(n_cand, n, self.capacity, kernel.cross_rows)
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         if need > have:
             raise GridTooLarge(
@@ -147,9 +156,9 @@ class CandidateEvaluator:
         self._k = 0
         self._jitter = 0.0
         self._alpha = np.empty(0)
-        # cross caches are sample-major: row j holds sample j against all candidates
-        self._kcs = np.empty((self.capacity, n_cand))
-        self._pcs = np.empty((self.capacity, n_cand)) if polynomial else None
+        # cross caches are sample-major: [:, j] holds sample j's rows against
+        # all candidates, and row 0 is the kernel value
+        self._cross = np.empty((kernel.cross_rows, self.capacity, n_cand))
         self._scov = np.empty((len(self._pairs), n_cand))
         k0_val, k0_cross, k0_hess = kernel.joint_blocks_batch(self.cands)
         k0p = np.empty((len(self._pairs), n_cand))
@@ -160,8 +169,8 @@ class CandidateEvaluator:
                 k0p[p] = k0_cross[:, j - 1]
             else:
                 k0p[p] = k0_hess[:, i - 1, j - 1]
-        # squared-exponential blocks are candidate-independent; keep one column
-        if isinstance(kernel, SquaredExponential):
+        # a stationary kernel's blocks are candidate-independent; keep one column
+        if kernel.stationary:
             self._k0p = k0p[:, :1].copy()
         else:
             self._k0p = k0p
@@ -190,77 +199,6 @@ class CandidateEvaluator:
         blocks = [slice(b * n_cand // count, (b + 1) * n_cand // count) for b in range(count)]
         return list(_executor().map(fn, blocks))
 
-    # -- kernel cross columns ------------------------------------------------
-
-    def _fill_column(self, j, x, rows=slice(None)):
-        """Kernel (and dot-product) row of sample ``x`` against candidate ``rows``."""
-        # sums over dims run column by column, in np.sum's order; a 2-D op
-        # over (rows, n) loops over n innermost, and a BLAS gemv rounds
-        # differently with the row count and its threads
-        cands = self.cands[rows]
-        if isinstance(self.kernel, SquaredExponential):
-            d2 = (cands[:, 0] - x[0]) ** 2
-            for d in range(1, self.n):
-                d2 += (cands[:, d] - x[d]) ** 2
-            self._kcs[j, rows] = self.kernel.alpha * np.exp(
-                -d2 / (2.0 * self.kernel.length_scale**2)
-            )
-        else:
-            p = cands[:, 0] * x[0]
-            for d in range(1, self.n):
-                p += cands[:, d] * x[d]
-            self._pcs[j, rows] = p
-            self._kcs[j, rows] = self.kernel.alpha_bar * (p - self.kernel.offset) ** self.kernel.degree
-
-    def _joint_dot(self, weights, out):
-        """Raw GEMM columns for A(x) @ w, one (1 + n)-column group of ``out``
-        (N, len(weights) (1 + n)) per weight; ``_finish_dot`` completes a group."""
-        k = self._k
-        X = self._X[:k]
-        if isinstance(self.kernel, SquaredExponential):
-            stacked = np.column_stack([col for w in weights for col in (w, w[:, None] * X)])
-            np.matmul(self._kcs[:k].T, stacked, out=out)
-        else:
-            width = 1 + self.n
-            for g, w in enumerate(weights):
-                np.matmul(self._kcs[:k].T, w[:, None], out=out[:, g * width:g * width + 1])
-                np.matmul(self._pcs[:k].T, w[:, None] * X,
-                          out=out[:, g * width + 1:(g + 1) * width])
-        return out
-
-    def _finish_dot(self, out, rows):
-        """Turn one group of raw GEMM columns for candidate ``rows`` into A(x) @ w.
-
-        For the SE kernel, column 0 holds sum_r w_r k(x, x_r) and the rest
-        hold sum_r w_r x_r k(x, x_r); the gradient weight sum is
-        (sum_r w_r x_r k - x sum_r w_r k) / l^2.
-        """
-        # column by column: a 2-D op over (rows, n) views loops over n innermost
-        for d in range(self.n):
-            grad = out[:, 1 + d]
-            if isinstance(self.kernel, SquaredExponential):
-                grad -= self.cands[rows, d] * out[:, 0]
-                grad /= self.kernel.length_scale**2
-            else:
-                grad *= 2.0 * self.kernel.alpha_bar
-        return out
-
-    def _joint_column(self, x, j, rows):
-        """Joint kernel column [k(x_c, x); grad_y k(y, x)|_{y=x_c}] of sample
-        ``x`` (cross row ``j``) for candidate ``rows``, entry-major (1 + n, rows)."""
-        kcol = self._kcs[j, rows]
-        out = np.empty((1 + self.n, kcol.shape[0]))
-        out[0] = kcol
-        if isinstance(self.kernel, SquaredExponential):
-            l2 = self.kernel.length_scale**2
-            for d in range(self.n):
-                out[1 + d] = (self.cands[rows, d] - x[d]) * kcol / -l2
-        else:
-            pcol = self._pcs[j, rows]
-            for d in range(self.n):
-                np.multiply(pcol, 2.0 * self.kernel.alpha_bar * x[d], out=out[1 + d])
-        return out
-
     # -- fitting -------------------------------------------------------------
 
     def fit(self, X, f):
@@ -281,7 +219,7 @@ class CandidateEvaluator:
         self._refresh_alpha()
         self._mu_fresh = False
         for j in range(k):
-            self._fill_column(j, X[j])
+            self.kernel.fill_cross(self._cross[:, j], X[j], self.cands)
         self._rebuild_scov()
 
     def _refresh_alpha(self):
@@ -299,7 +237,7 @@ class CandidateEvaluator:
             stop = min(start + _CHUNK, n_cand)
             block = slice(start, stop)
             a = np.empty((stop - start, 1 + self.n, k))
-            a[:, 0, :] = self._kcs[:k, block].T
+            a[:, 0, :] = self._cross[0, :k, block].T
             a[:, 1:, :] = self.kernel.grad_tensor(self.cands[block], X).transpose(0, 2, 1)
             flat = a.reshape(-1, k)
             v = solve_triangular(L, flat.T, lower=True).T.reshape(stop - start, 1 + self.n, k)
@@ -330,7 +268,8 @@ class CandidateEvaluator:
         lam = np.sqrt(lam2)
         c = solve_triangular(L.T, l_row, lower=False)
         # extend the sample set first so the fused GEMM sees the new cross row
-        self._sweep(lambda rows: self._fill_column(k, x_new, rows))
+        self._sweep(lambda rows: self.kernel.fill_cross(
+            self._cross[:, k, rows], x_new, self.cands[rows]))
         self._X[k] = x_new
         self._f[k] = f_new
         self._L[k, :k] = l_row
@@ -340,7 +279,8 @@ class CandidateEvaluator:
         # one fused GEMM yields both the downdate projection (old samples,
         # weight c padded with 0) and the new posterior mean (weight alpha)
         raw = np.empty((self.cands.shape[0], 2 * (1 + self.n)))
-        self._joint_dot((np.append(c, 0.0), self._alpha), out=raw)
+        self.kernel.joint_dot(self._cross[:, :k + 1], self._X[:k + 1],
+                              (np.append(c, 0.0), self._alpha), out=raw)
         self._sweep(lambda rows: self._downdate(rows, raw, x_new, lam))
         self._mu_fresh = True
 
@@ -349,9 +289,10 @@ class CandidateEvaluator:
         mean and downdate the packed covariances by v v^T for the newest
         sample ``x_new``."""
         width = 1 + self.n
-        u = self._finish_dot(raw[rows, :width], rows)
-        mu = self._finish_dot(raw[rows, width:], rows)
-        v = self._joint_column(x_new, self._k - 1, rows)
+        cands = self.cands[rows]
+        u = self.kernel.finish_dot(raw[rows, :width], cands)
+        mu = self.kernel.finish_dot(raw[rows, width:], cands)
+        v = self.kernel.joint_column(self._cross[:, self._k - 1, rows], x_new, cands)
         for i in range(width):
             self._mu[rows, i] = mu[:, i]
             v[i] -= u[:, i]
@@ -392,10 +333,11 @@ class CandidateEvaluator:
     def posterior_mean(self) -> np.ndarray:
         """Joint posterior mean per candidate, shape (N, 1 + n)."""
         if not self._mu_fresh:
-            self._joint_dot((self._alpha,), out=self._mu)
+            k = self._k
+            self.kernel.joint_dot(self._cross[:, :k], self._X[:k], (self._alpha,), out=self._mu)
 
             def finish(rows):
-                self._finish_dot(self._mu[rows], rows)
+                self.kernel.finish_dot(self._mu[rows], self.cands[rows])
                 self._mu[rows, 0] += self.prior_mean
 
             self._sweep(finish)
@@ -441,7 +383,7 @@ class CandidateEvaluator:
         n = self.n
         sxx = self._sxx(rows)
         resid = np.empty((mu.shape[0], n))
-        for d in range(n):  # column by column, as in _finish_dot
+        for d in range(n):  # column by column, as in the kernels' finish_dot
             np.negative(mu[:, 1 + d], out=resid[:, d])
         if n <= 3:
             beta_r, beta_s = self._solve_syy_small(resid, rows)

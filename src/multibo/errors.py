@@ -29,10 +29,6 @@ class SingularGradientCovariance(MultiboError):
     """Gradient covariance block not invertible after the jitter schedule."""
 
 
-class Unsupported(MultiboError):
-    """Requested operation is outside the implemented parameter range."""
-
-
 class GridTooLarge(MultiboError):
     """Candidate or search grid exceeds the configured size limit."""
 

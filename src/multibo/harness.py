@@ -44,13 +44,13 @@ from .acquisition import AcquisitionConfig
 from .errors import ConfigError, MultiboError
 from .kernels import Polynomial, SquaredExponential
 from .objectives import BenchmarkSpec, make_benchmark
-from .optimizer import OptimizerConfig, RunTrace, run as run_loop
+from .optimizer import OptimizerConfig, RunTrace, min_pairwise_distance, run as run_loop
 
 SWEEP_PARAMS = ("alpha", "length_scale", "threshold", "min_distance")
 
 _KNOWN_KEYS = {
     "benchmark", "dimension", "tabulated_path", "bumps", "bounds",
-    "kernel", "alpha", "length_scale", "alpha_bar", "offset", "degree",
+    "kernel", "alpha", "length_scale", "alpha_bar",
     "acquisition", "threshold", "epsilon",
     "budget", "grid_step", "grid_count", "random_candidates",
     "min_distance", "n_priors", "prior_points", "prior_mean", "seed",
@@ -234,11 +234,7 @@ def parse_config_text(text) -> ExperimentConfig:
     elif kernel_name == "polynomial":
         if "alpha_bar" not in raw:
             raise ConfigError("missing required key 'alpha_bar' for the polynomial kernel")
-        kernel_params = {
-            "alpha_bar": float(raw["alpha_bar"]),
-            "offset": float(raw.get("offset", 0.0)),
-            "degree": int(raw.get("degree", 2)),
-        }
+        kernel_params = {"alpha_bar": float(raw["alpha_bar"])}
     else:
         raise ConfigError(f"kernel must be se or polynomial, got {kernel_name!r}")
 
@@ -393,14 +389,7 @@ def _trace_row_stats(tf: traceio.TraceFile):
     """Shared per-trace report figures, recomputed from the file alone."""
     spec = _spec_from_echo(tf.config_echo)
     bo = [s for s in tf.steps if s.kind == "bo"]
-    pts = np.asarray([s.point for s in tf.steps])
-    if pts.shape[0] >= 2:
-        deltas = pts[:, None, :] - pts[None, :, :]
-        dist = np.linalg.norm(deltas, axis=-1)
-        np.fill_diagonal(dist, np.inf)
-        min_pairwise = float(dist.min())
-    else:
-        min_pairwise = float("inf")
+    min_pairwise = min_pairwise_distance([s.point for s in tf.steps])
     flags = [s for s in tf.steps if s.flagged]
     radius = float(tf.config_echo.get("hit_radius", 0.1))
     distinct = None

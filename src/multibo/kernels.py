@@ -3,10 +3,8 @@
 Two families are provided:
 
 * ``SquaredExponential``:  k(x, y) = alpha * exp(-||x - y||^2 / (2 l^2))
-* ``Polynomial``:          k(x, y) = alpha_bar * (x . y - offset)^degree
-
-The polynomial form uses ``(x . y - offset)`` deliberately; callers expecting
-the ``+ offset`` convention should negate the parameter.
+* ``Polynomial``:          k(x, y) = alpha_bar * (x . y)^2, the homogeneous
+  quadratic kernel
 
 Derivative convention
 ---------------------
@@ -16,9 +14,25 @@ swapping the roles of the two points, so the convention matters. The mixed
 second derivative ``hess_mixed(y, y2)`` is d^2 k(y, y2) / dy dy2 with rows
 indexed by components of ``y`` and columns by components of ``y2``.
 
-Analytic derivatives for the polynomial family are implemented for the
-homogeneous quadratic case (offset 0, degree 2) only; other parameter
-combinations raise ``Unsupported``.
+Batched algebra for the engine
+------------------------------
+``engine.CandidateEvaluator`` keeps, per sample, ``cross_rows`` cache rows
+against every candidate and learns from ``stationary`` whether the joint
+prior block K0(y) is the same at every candidate. Besides ``eval_matrix``,
+``grad_tensor`` and ``joint_blocks_batch`` (which it calls on its own
+thread), it relies on four methods that are plain numpy on the slices they
+are given:
+
+* ``fill_cross``: the cache rows of one sample against a candidate block;
+* ``joint_dot``: the raw GEMM columns of A(y) @ w for several weights;
+* ``finish_dot``: the gradient fixup that turns one group of them into
+  A(y) @ w;
+* ``joint_column``: the joint kernel column [k(y, x); dk(y, x)/dy] of one
+  sample over a candidate block.
+
+Sums over dimensions run column by column, in ``np.sum``'s order: a 2-D op
+over (rows, n) views loops over n innermost, and a BLAS gemv rounds
+differently with the row count and its threads.
 """
 
 from __future__ import annotations
@@ -27,34 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, Unsupported
-
-
-@dataclass(frozen=True)
-class JointKernelBlocks:
-    """Kernel blocks at coincident arguments for the joint (value, gradient) prior.
-
-    ``kxx`` is k(x, x), ``cross`` the n-vector dk(x, y)/dy at y = x, and
-    ``hess`` the n x n mixed second derivative at y = y2 = x.
-    """
-
-    kxx: float
-    cross: np.ndarray
-    hess: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.cross.shape[0]
-
-    def matrix(self) -> np.ndarray:
-        """Assemble the full (1+n) x (1+n) prior covariance block."""
-        n = self.dim
-        out = np.empty((1 + n, 1 + n))
-        out[0, 0] = self.kxx
-        out[0, 1:] = self.cross
-        out[1:, 0] = self.cross
-        out[1:, 1:] = self.hess
-        return out
+from .errors import DimensionMismatch
 
 
 def _check_pair(x, y):
@@ -71,6 +58,9 @@ class SquaredExponential:
 
     alpha: float
     length_scale: float
+
+    cross_rows = 1      # cache row per sample: k(y, x)
+    stationary = True   # K0(y) = blockdiag(alpha, alpha / l^2 I) at every y
 
     def __post_init__(self):
         if not self.alpha > 0:
@@ -122,15 +112,6 @@ class SquaredExponential:
         k = self.eval(y, y2)
         return (k / l2) * (np.eye(n) - np.outer(r, r) / l2)
 
-    def joint_blocks(self, x) -> JointKernelBlocks:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        n = x.shape[0]
-        return JointKernelBlocks(
-            kxx=self.alpha,
-            cross=np.zeros(n),
-            hess=(self.alpha / self.length_scale**2) * np.eye(n),
-        )
-
     def joint_blocks_batch(self, Y):
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
         m, n = Y.shape
@@ -141,76 +122,89 @@ class SquaredExponential:
         ).copy()
         return kxx, cross, hess
 
+    def fill_cross(self, cache, x, Y):
+        """Cache row of sample ``x`` against candidates ``Y`` (m, n), written
+        into ``cache`` (cross_rows, m)."""
+        d2 = (Y[:, 0] - x[0]) ** 2
+        for d in range(1, Y.shape[1]):
+            d2 += (Y[:, d] - x[d]) ** 2
+        cache[0] = self.alpha * np.exp(-d2 / (2.0 * self.length_scale**2))
+
+    def joint_dot(self, cache, X, weights, out):
+        """Raw GEMM columns for A(y) @ w over the candidates, one (1 + n)-column
+        group of ``out`` (m, len(weights) (1 + n)) per weight; ``cache`` holds
+        the cross rows (cross_rows, k, m) of the samples ``X`` (k, n).
+
+        One GEMM over [w, w x_r] for all weights: column 0 of a group holds
+        sum_r w_r k(y, x_r), the rest hold sum_r w_r x_r k(y, x_r).
+        """
+        stacked = np.column_stack([col for w in weights for col in (w, w[:, None] * X)])
+        np.matmul(cache[0].T, stacked, out=out)
+        return out
+
+    def finish_dot(self, out, Y):
+        """Turn one group of raw GEMM columns for candidates ``Y`` into A(y) @ w:
+        the gradient weight sum is (sum_r w_r x_r k - y sum_r w_r k) / l^2."""
+        for d in range(Y.shape[1]):
+            grad = out[:, 1 + d]
+            grad -= Y[:, d] * out[:, 0]
+            grad /= self.length_scale**2
+        return out
+
+    def joint_column(self, cache, x, Y):
+        """Joint kernel column [k(y, x); dk(y, x)/dy] of sample ``x`` for
+        candidates ``Y`` from its cache rows ``cache``, entry-major (1 + n, m)."""
+        kcol = cache[0]
+        out = np.empty((1 + Y.shape[1], kcol.shape[0]))
+        out[0] = kcol
+        l2 = self.length_scale**2
+        for d in range(Y.shape[1]):
+            out[1 + d] = (Y[:, d] - x[d]) * kcol / -l2
+        return out
+
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Polynomial kernel ``alpha_bar * (x . y - offset)^degree``.
-
-    Analytic derivatives exist here only for the homogeneous quadratic case
-    (offset 0, degree 2).
-    """
+    """Homogeneous quadratic kernel ``alpha_bar * (x . y)^2``."""
 
     alpha_bar: float
-    offset: float = 0.0
-    degree: int = 2
+
+    cross_rows = 2      # cache rows per sample: k(y, x) and y . x
+    stationary = False
 
     def __post_init__(self):
         if not self.alpha_bar > 0:
             raise ValueError("alpha_bar must be positive")
-        if self.offset < 0:
-            raise ValueError("offset must be nonnegative")
-        if int(self.degree) != self.degree or self.degree < 1:
-            raise ValueError("degree must be a positive integer")
-
-    def _require_quadratic(self):
-        if self.offset != 0.0 or self.degree != 2:
-            raise Unsupported(
-                "analytic polynomial derivatives implemented only for offset 0, degree 2"
-            )
 
     def eval(self, x, y) -> float:
         x, y = _check_pair(x, y)
-        return self.alpha_bar * (float(x @ y) - self.offset) ** self.degree
+        return self.alpha_bar * float(x @ y) ** 2
 
     def eval_matrix(self, X, Y) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
         if X.shape[1] != Y.shape[1]:
             raise DimensionMismatch("row stacks have different point dimensions")
-        return self.alpha_bar * (X @ Y.T - self.offset) ** self.degree
+        return self.alpha_bar * (X @ Y.T) ** 2
 
     def grad_second_arg(self, x, y) -> np.ndarray:
-        """dk(y, x)/dy = 2 alpha_bar (y . x) x for the quadratic case."""
-        self._require_quadratic()
+        """dk(y, x)/dy = 2 alpha_bar (y . x) x."""
         x, y = _check_pair(x, y)
         return 2.0 * self.alpha_bar * float(y @ x) * x
 
     def grad_tensor(self, Y, X) -> np.ndarray:
-        self._require_quadratic()
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
         X = np.atleast_2d(np.asarray(X, dtype=float))
         dots = Y @ X.T
         return 2.0 * self.alpha_bar * dots[:, :, None] * X[None, :, :]
 
     def hess_mixed(self, y, y2) -> np.ndarray:
-        """d^2 k(y, y2) / dy dy2 = 2 alpha_bar (y2 y^T + (y . y2) I) for the quadratic case."""
-        self._require_quadratic()
+        """d^2 k(y, y2) / dy dy2 = 2 alpha_bar (y2 y^T + (y . y2) I)."""
         y, y2 = _check_pair(y, y2)
         n = y.shape[0]
         return 2.0 * self.alpha_bar * (np.outer(y2, y) + float(y @ y2) * np.eye(n))
 
-    def joint_blocks(self, x) -> JointKernelBlocks:
-        self._require_quadratic()
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        sq = float(x @ x)
-        return JointKernelBlocks(
-            kxx=self.alpha_bar * sq**2,
-            cross=2.0 * self.alpha_bar * sq * x,
-            hess=2.0 * self.alpha_bar * (np.outer(x, x) + sq * np.eye(x.shape[0])),
-        )
-
     def joint_blocks_batch(self, Y):
-        self._require_quadratic()
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
         m, n = Y.shape
         sq = np.sum(Y * Y, axis=1)
@@ -220,6 +214,40 @@ class Polynomial:
             Y[:, :, None] * Y[:, None, :] + sq[:, None, None] * np.eye(n)
         )
         return kxx, cross, hess
+
+    def fill_cross(self, cache, x, Y):
+        """Cache rows of sample ``x`` against candidates ``Y`` (m, n), written
+        into ``cache`` (cross_rows, m)."""
+        p = Y[:, 0] * x[0]
+        for d in range(1, Y.shape[1]):
+            p += Y[:, d] * x[d]
+        cache[1] = p
+        cache[0] = self.alpha_bar * p**2
+
+    def joint_dot(self, cache, X, weights, out):
+        """Raw GEMM columns for A(y) @ w over the candidates, as for
+        ``SquaredExponential``: column 0 of a group holds sum_r w_r k(y, x_r),
+        the rest hold sum_r w_r (y . x_r) x_r."""
+        width = 1 + X.shape[1]
+        for g, w in enumerate(weights):
+            np.matmul(cache[0].T, w[:, None], out=out[:, g * width:g * width + 1])
+            np.matmul(cache[1].T, w[:, None] * X, out=out[:, g * width + 1:(g + 1) * width])
+        return out
+
+    def finish_dot(self, out, Y):
+        """Turn one group of raw GEMM columns into A(y) @ w."""
+        for d in range(Y.shape[1]):
+            out[:, 1 + d] *= 2.0 * self.alpha_bar
+        return out
+
+    def joint_column(self, cache, x, Y):
+        """Joint kernel column [k(y, x); dk(y, x)/dy] of sample ``x`` for
+        candidates ``Y`` from its cache rows ``cache``, entry-major (1 + n, m)."""
+        out = np.empty((1 + Y.shape[1], cache.shape[1]))
+        out[0] = cache[0]
+        for d in range(Y.shape[1]):
+            np.multiply(cache[1], 2.0 * self.alpha_bar * x[d], out=out[1 + d])
+        return out
 
 
 Kernel = SquaredExponential | Polynomial

@@ -31,6 +31,17 @@ from .kernels import Kernel
 MAX_CANDIDATES = 10_000_000
 
 
+def min_pairwise_distance(points) -> float:
+    """Smallest distance between two rows of ``points``; infinite below two rows."""
+    pts = np.asarray(points)
+    if pts.shape[0] < 2:
+        return float("inf")
+    deltas = pts[:, None, :] - pts[None, :, :]
+    dist = np.linalg.norm(deltas, axis=-1)
+    np.fill_diagonal(dist, np.inf)
+    return float(dist.min())
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Run settings: domain, candidate generation, constraint, and model."""
@@ -77,14 +88,8 @@ class OptimizerConfig:
                 raise ConfigError("prior_points dimension does not match bounds")
             if np.any(pts < bounds[:, 0]) or np.any(pts > bounds[:, 1]):
                 raise ConfigError("prior_points must lie within bounds")
-            if pts.shape[0] >= 2:
-                deltas = pts[:, None, :] - pts[None, :, :]
-                dist = np.linalg.norm(deltas, axis=-1)
-                np.fill_diagonal(dist, np.inf)
-                if dist.min() < self.min_distance:
-                    raise ConfigError(
-                        "prior_points violate the minimum sampling distance"
-                    )
+            if min_pairwise_distance(pts) < self.min_distance:
+                raise ConfigError("prior_points violate the minimum sampling distance")
             object.__setattr__(self, "prior_points", pts)
         elif self.n_priors < 1:
             raise ConfigError("n_priors must be at least 1")
@@ -128,13 +133,7 @@ class RunTrace:
         return tuple(s for s in self.steps if s.flagged)
 
     def min_pairwise_distance(self) -> float:
-        pts = self.points()
-        if pts.shape[0] < 2:
-            return float("inf")
-        deltas = pts[:, None, :] - pts[None, :, :]
-        dist = np.linalg.norm(deltas, axis=-1)
-        np.fill_diagonal(dist, np.inf)
-        return float(dist.min())
+        return min_pairwise_distance(self.points())
 
 
 def generate_candidates(cfg: OptimizerConfig, seed: int | None = None) -> np.ndarray:

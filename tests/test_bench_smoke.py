@@ -1,0 +1,28 @@
+"""The benchmark still runs: two of its workloads at their least work, no timing gate.
+
+``bench/run.py`` checks every output it produces against an independent
+dense posterior and the method's properties; this keeps the command and
+those checks working as the program changes.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("workload", ["asktell-4d", "synthetic1d-compare"])
+def test_bench_workload_runs_and_checks_out(workload):
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seconds", "0", "--seed", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=900,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, proc.stdout
+    assert result["failed"] == 0, proc.stdout
+    assert result["attempted"] > 0

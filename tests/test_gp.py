@@ -64,8 +64,9 @@ def test_joint_posterior_prior_recovery_far_away():
     j = gp.joint_posterior(state, [50.0])
     assert j.mean[0] == pytest.approx(0.5, abs=1e-12)
     assert j.mean[1] == pytest.approx(0.0, abs=1e-12)
-    blocks = state.kernel.joint_blocks(np.array([50.0]))
-    assert np.allclose(j.cov, blocks.matrix(), atol=1e-12)
+    kxx, cross, hess = state.kernel.joint_blocks_batch(np.array([[50.0]]))
+    prior = np.block([[kxx[:, None], cross], [cross.T, hess[0]]])
+    assert np.allclose(j.cov, prior, atol=1e-12)
 
 
 def test_joint_posterior_dimension_check():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from multibo.errors import DimensionMismatch, Unsupported
+from multibo.errors import DimensionMismatch
 from multibo.kernels import Polynomial, SquaredExponential
 
 
@@ -53,11 +53,9 @@ def test_se_eval_symmetry_and_bound():
 
 
 def test_polynomial_eval():
-    poly = Polynomial(alpha_bar=1.0, offset=0.0, degree=2)
+    poly = Polynomial(alpha_bar=1.0)
     assert poly.eval([3.0], [1.0]) == pytest.approx(9.0)
-    # the (x . y - offset) sign convention
-    poly_c = Polynomial(alpha_bar=2.0, offset=1.0, degree=3)
-    assert poly_c.eval([2.0], [2.0]) == pytest.approx(2.0 * (4.0 - 1.0) ** 3)
+    assert Polynomial(alpha_bar=2.0).eval([1.0, -2.0], [3.0, 1.0]) == pytest.approx(2.0)
 
 
 def test_dimension_mismatch():
@@ -72,9 +70,7 @@ def test_invalid_parameters():
     with pytest.raises(ValueError):
         SquaredExponential(alpha=1.0, length_scale=-1.0)
     with pytest.raises(ValueError):
-        Polynomial(alpha_bar=1.0, offset=-0.5)
-    with pytest.raises(ValueError):
-        Polynomial(alpha_bar=1.0, degree=0)
+        Polynomial(alpha_bar=0.0)
 
 
 def test_se_grad_second_arg():
@@ -89,15 +85,6 @@ def test_poly_grad_second_arg_hand_case():
     poly = Polynomial(alpha_bar=1.0)
     g = poly.grad_second_arg(np.array([1.0, 0.0]), np.array([2.0, 2.0]))
     assert np.allclose(g, [4.0, 0.0])
-
-
-def test_poly_derivatives_unsupported_outside_quadratic():
-    poly = Polynomial(alpha_bar=1.0, offset=0.5, degree=2)
-    with pytest.raises(Unsupported):
-        poly.grad_second_arg([1.0], [1.0])
-    poly3 = Polynomial(alpha_bar=1.0, degree=3)
-    with pytest.raises(Unsupported):
-        poly3.hess_mixed([1.0], [1.0])
 
 
 def test_se_hess_mixed_values():
@@ -116,20 +103,19 @@ def test_poly_hess_mixed_hand_case():
 
 def test_joint_blocks_se():
     se = SquaredExponential(alpha=10.0, length_scale=0.1)
-    jb = se.joint_blocks(np.array([0.5, 0.5]))
-    assert jb.kxx == pytest.approx(10.0)
-    assert np.allclose(jb.cross, 0.0)
-    assert np.allclose(jb.hess, 1000.0 * np.eye(2))
-    unit = SquaredExponential(1.0, 1.0).joint_blocks(np.array([3.0]))
-    assert (unit.kxx, unit.cross[0], unit.hess[0, 0]) == (1.0, 0.0, 1.0)
+    kxx, cross, hess = se.joint_blocks_batch(np.array([[0.5, 0.5], [-3.0, 1.0]]))
+    assert np.allclose(kxx, 10.0)
+    assert np.allclose(cross, 0.0)
+    assert np.allclose(hess, 1000.0 * np.eye(2))
+    kxx, cross, hess = SquaredExponential(1.0, 1.0).joint_blocks_batch(np.array([[3.0]]))
+    assert (kxx[0], cross[0, 0], hess[0, 0, 0]) == (1.0, 0.0, 1.0)
 
 
 def test_joint_blocks_poly():
-    jb = Polynomial(alpha_bar=1.0).joint_blocks(np.array([1.0, 0.0]))
-    assert jb.kxx == pytest.approx(1.0)
-    assert np.allclose(jb.cross, [2.0, 0.0])
-    assert np.allclose(jb.hess, [[4.0, 0.0], [0.0, 2.0]])
-    assert np.allclose(jb.matrix()[0, 1:], jb.cross)
+    kxx, cross, hess = Polynomial(alpha_bar=1.0).joint_blocks_batch(np.array([[1.0, 0.0]]))
+    assert kxx[0] == pytest.approx(1.0)
+    assert np.allclose(cross[0], [2.0, 0.0])
+    assert np.allclose(hess[0], [[4.0, 0.0], [0.0, 2.0]])
 
 
 @pytest.mark.parametrize("make", [
@@ -184,7 +170,7 @@ def test_joint_blocks_batch_matches_scalar():
         Y = rng.uniform(-1.5, 1.5, (5, 2))
         kxx, cross, hess = kern.joint_blocks_batch(Y)
         for a in range(5):
-            jb = kern.joint_blocks(Y[a])
-            assert kxx[a] == pytest.approx(jb.kxx, rel=1e-12)
-            assert np.allclose(cross[a], jb.cross)
-            assert np.allclose(hess[a], jb.hess)
+            y = Y[a]
+            assert kxx[a] == pytest.approx(kern.eval(y, y), rel=1e-12)
+            assert np.allclose(cross[a], kern.grad_second_arg(y, y))
+            assert np.allclose(hess[a], kern.hess_mixed(y, y))
