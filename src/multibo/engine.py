@@ -55,9 +55,9 @@ oversubscribes the cores. Workers run numpy on slices of the caches only:
 of the kernel they call ``fill_cross``, ``finish_dot`` and
 ``joint_column``, never ``eval_matrix``, ``grad_tensor`` or
 ``joint_blocks_batch``, and nothing in ``gp`` or ``numerics``, so anything
-that wraps those functions sees calls from one thread. No arithmetic depends on
-the block bounds, so the results do not depend on the block size or the
-worker count.
+that wraps those functions sees calls from one thread. No arithmetic
+depends on the block bounds, so the results do not depend on the block size
+or the worker count.
 
 Everything here is an internal optimization detail; the scalar reference
 path lives in ``multibo.gp`` and the two are held together by tests.
