@@ -8,23 +8,17 @@ over a threshold and a near-zero posterior gradient.
 
 from .acquisition import (
     AcquisitionConfig,
+    ConditionalGaussian,
+    condition_value_on_gradient,
     derivative_only,
     evaluate,
+    gradient_band_probability,
     joint_ei,
     joint_pi,
     vanilla_ei,
     vanilla_pi,
 )
-from .gp import (
-    ConditionalGaussian,
-    GPState,
-    JointGaussian,
-    condition_value_on_gradient,
-    fit,
-    gradient_band_probability,
-    joint_posterior,
-    value_posterior,
-)
+from .gp import GPState, JointGaussian, fit, joint_posterior, value_posterior
 from .kernels import Polynomial, SquaredExponential
 from .metrics import MetricReport, average_distance, first_hit_steps
 from .numerics import CholeskyFactor, cholesky, normal_pdf, q_function, solve

@@ -11,17 +11,39 @@ where (mu, sigma) describe the value conditioned on gradient 0 — the center
 of the band, which is narrow by construction. The vanilla families apply the
 same improvement formulas to the unconditioned value marginal with no band
 factor, and ``derivative_only`` keeps the band factor alone.
+
+Every formula has one implementation, vectorised over N candidates. A batch
+is a joint mean of shape (N, 1 + n) and the joint covariances in packed
+form: one row per entry of the (1+n) x (1+n) upper triangle, in the order of
+``packed_pairs(n)``, shape ((1+n)(2+n)/2, N). The batched engine calls
+``values`` on blocks of its candidates; the scalar API (``evaluate``, the
+family functions, ``score``, ``condition_value_on_gradient`` and
+``gradient_band_probability``) packs one ``gp.JointGaussian`` and makes an
+N = 1 call.
+
+Degenerate cases have one policy. A zero value std turns PI and EI into
+their limits (a step at the threshold, and max(mean - threshold, 0)); a zero
+gradient std turns that dimension's band factor into the indicator
+|mu_i| < epsilon. To condition on the gradient, the diagonal of the gradient
+block S_yy is floored at 1e-12 max(1, max diag). If the floored block's
+determinant is at most 1e-12 max(1, max diag)^n in magnitude, S_yy b = r is
+replaced by the diagonal approximation b = r / diag; such candidates sit
+where the posterior has collapsed onto data, and the band factor controls
+the acquisition there. Otherwise the solve is exact: in closed form for
+n <= 3, by a batched ``np.linalg.solve`` above. The conditional variance is
+clamped into [0, S_xx]: conditioning on the gradient can only shrink it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from . import gp
-from .errors import ConfigError
-from .numerics import normal_pdf, q_function
+from .errors import ConfigError, DimensionMismatch
+from .numerics import _phi, _q
 
 FAMILIES = ("joint_pi", "joint_ei", "vanilla_pi", "vanilla_ei", "derivative_only")
 
@@ -56,71 +78,230 @@ class AcquisitionConfig:
         return self.family in _BAND_FAMILIES
 
 
-def improvement_probability(mean: float, std: float, threshold: float) -> float:
-    """P(value > threshold) for a Gaussian value; degenerates to an indicator."""
-    if std > 0.0:
-        return q_function((threshold - mean) / std)
-    if mean > threshold:
-        return 1.0
-    return 0.5 if mean == threshold else 0.0
+@dataclass(frozen=True)
+class ConditionalGaussian:
+    """Value distribution after pinning the gradient: scalar mean and variance."""
+
+    mean: float
+    variance: float
+
+    @property
+    def std(self) -> float:
+        return float(np.sqrt(self.variance))
 
 
-def expected_improvement(mean: float, std: float, threshold: float) -> float:
-    """E[(value - threshold)+] for a Gaussian value, in closed form."""
-    if std > 0.0:
-        z = (threshold - mean) / std
-        return (mean - threshold) * q_function(z) + std * normal_pdf(z)
-    return max(mean - threshold, 0.0)
+# -- packed layout -------------------------------------------------------------
 
 
-def joint_pi_value(j: gp.JointGaussian, cfg: AcquisitionConfig) -> float:
-    cond = gp.condition_value_on_gradient(j, np.zeros(j.dim))
-    band = gp.gradient_band_probability(j, cfg.epsilon)
-    return improvement_probability(cond.mean, cond.std, cfg.threshold) * band
+@lru_cache(maxsize=None)
+def packed_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """Entries (i, j), i <= j, of a (1+n) x (1+n) joint covariance in packed
+    row order; index 0 is the value, 1 + d the gradient component d."""
+    return tuple((i, j) for i in range(1 + n) for j in range(i, 1 + n))
 
 
-def joint_ei_value(j: gp.JointGaussian, cfg: AcquisitionConfig) -> float:
-    cond = gp.condition_value_on_gradient(j, np.zeros(j.dim))
-    band = gp.gradient_band_probability(j, cfg.epsilon)
-    return expected_improvement(cond.mean, cond.std, cfg.threshold) * band
+@lru_cache(maxsize=None)
+def _position(n: int) -> dict:
+    return {pair: p for p, pair in enumerate(packed_pairs(n))}
 
 
-def joint_pi(state: gp.GPState, x, cfg: AcquisitionConfig) -> float:
-    """Joint probability of improvement at ``x``."""
-    return joint_pi_value(gp.joint_posterior(state, x), cfg)
+def pack(cov) -> np.ndarray:
+    """One dense joint covariance as a packed batch of one, shape (P, 1)."""
+    cov = np.asarray(cov, dtype=float)
+    return np.array([[cov[i, j]] for i, j in packed_pairs(cov.shape[0] - 1)])
 
 
-def joint_ei(state: gp.GPState, x, cfg: AcquisitionConfig) -> float:
-    """Joint expected improvement at ``x``."""
-    return joint_ei_value(gp.joint_posterior(state, x), cfg)
+# -- vectorised formulas ---------------------------------------------------------
 
 
-def vanilla_pi(state: gp.GPState, x, cfg: AcquisitionConfig) -> float:
-    """Probability of improvement of the unconditioned value posterior."""
-    mean, var = gp.value_posterior(state, x)
-    return improvement_probability(mean, float(np.sqrt(var)), cfg.threshold)
+def improvement_probability(mean, std, threshold):
+    """P(value > threshold) for Gaussian values; an indicator where std is 0."""
+    degenerate = np.where(mean > threshold, 1.0, np.where(mean == threshold, 0.5, 0.0))
+    safe = np.where(std > 0.0, std, 1.0)
+    return np.where(std > 0.0, _q((threshold - mean) / safe), degenerate)
 
 
-def vanilla_ei(state: gp.GPState, x, cfg: AcquisitionConfig) -> float:
-    """Expected improvement of the unconditioned value posterior."""
-    mean, var = gp.value_posterior(state, x)
-    return expected_improvement(mean, float(np.sqrt(var)), cfg.threshold)
+def expected_improvement(mean, std, threshold):
+    """E[(value - threshold)+] for Gaussian values, in closed form."""
+    safe = np.where(std > 0.0, std, 1.0)
+    z = (threshold - mean) / safe
+    smooth = (mean - threshold) * _q(z) + safe * _phi(z)
+    return np.where(std > 0.0, smooth, np.maximum(mean - threshold, 0.0))
 
 
-def derivative_only(state: gp.GPState, x, cfg: AcquisitionConfig) -> float:
-    """Gradient-band probability alone (ablation family)."""
-    return gp.gradient_band_probability(gp.joint_posterior(state, x), cfg.epsilon)
+def band_probability(mean, packed, epsilon):
+    """Probability that every gradient component lies inside (-epsilon, epsilon).
+
+    The product of per-dimension marginals Q((-eps - mu_i) / s_i) -
+    Q((eps - mu_i) / s_i), with ``s_i`` the marginal std.
+    """
+    n = mean.shape[1] - 1
+    pos = _position(n)
+    prob = np.ones(mean.shape[0])
+    for d in range(n):
+        s = np.sqrt(np.maximum(packed[pos[(1 + d, 1 + d)]], 0.0))
+        mu_d = mean[:, 1 + d]
+        safe = np.where(s > 0.0, s, 1.0)
+        spread = _q((-epsilon - mu_d) / safe) - _q((epsilon - mu_d) / safe)
+        prob *= np.where(s > 0.0, spread, (np.abs(mu_d) < epsilon).astype(float))
+    return np.clip(prob, 0.0, 1.0)
 
 
-_DISPATCH = {
-    "joint_pi": joint_pi,
-    "joint_ei": joint_ei,
-    "vanilla_pi": vanilla_pi,
-    "vanilla_ei": vanilla_ei,
-    "derivative_only": derivative_only,
-}
+def condition_on_zero_gradient(mean, packed):
+    """Value mean and variance conditioned on a zero gradient.
+
+    mean     = mu_x - S_xy S_yy^-1 mu_y
+    variance = S_xx - S_xy S_yy^-1 S_yx, clamped into [0, S_xx]
+    """
+    n = mean.shape[1] - 1
+    sxx = packed[0]
+    resid = np.empty((mean.shape[0], n))
+    for d in range(n):  # column by column, as in the kernels' finish_dot
+        np.negative(mean[:, 1 + d], out=resid[:, d])
+    beta_r, beta_s = _solve_gradient_block(packed, resid)
+    gain = np.zeros_like(sxx)
+    shrink = np.zeros_like(sxx)
+    for d in range(n):
+        gain += packed[1 + d] * beta_r[:, d]
+        shrink += packed[1 + d] * beta_s[:, d]
+    return mean[:, 0] + gain, np.clip(sxx - shrink, 0.0, np.maximum(sxx, 0.0))
+
+
+def _solve_gradient_block(packed, resid):
+    """S_yy b = rhs for rhs in {resid, S_yx}, under the module's degenerate-case
+    policy; returns the two solutions, each (N, n)."""
+    N, n = resid.shape
+    pos = _position(n)
+
+    def syy(i, j):
+        return packed[pos[(1 + i, 1 + j)]]
+
+    d = [np.maximum(syy(i, i), 0.0) for i in range(n)]
+    scale = d[0].copy()
+    for i in range(1, n):
+        np.maximum(scale, d[i], out=scale)
+    floor = 1e-12 * np.maximum(scale, 1.0)
+    dsafe = [np.maximum(d[i], floor) for i in range(n)]
+    tiny = 1e-12 * np.maximum(scale, 1.0) ** n
+    sxy = [packed[1 + i] for i in range(n)]
+    if n > 3:
+        block = np.empty((N, n, n))
+        rhs = np.empty((N, n, 2))
+        for i in range(n):
+            block[:, i, i] = dsafe[i]
+            for j in range(i + 1, n):
+                block[:, i, j] = block[:, j, i] = syy(i, j)
+            rhs[:, i, 0] = resid[:, i]
+            rhs[:, i, 1] = sxy[i]
+        ok = np.abs(np.linalg.det(block)) > tiny
+        block[~ok] = np.eye(n)  # an invertible stand-in, its solution unused
+        sol = np.where(ok[:, None, None], np.linalg.solve(block, rhs),
+                       rhs / np.stack(dsafe, axis=1)[:, :, None])
+        return sol[:, :, 0], sol[:, :, 1]
+    # closed form: the adjugate over the determinant
+    cof = _cofactors(dsafe, syy)
+    det = dsafe[0] * cof[0][0]
+    for j in range(1, n):
+        det = det + syy(0, j) * cof[0][j]
+    ok = np.abs(det) > tiny
+    det_safe = np.where(ok, det, 1.0)
+    beta_r = np.empty((N, n))
+    beta_s = np.empty((N, n))
+    for rhs, beta in ((resid, beta_r), (np.column_stack(sxy), beta_s)):
+        for i in range(n):
+            exact = cof[i][0] * rhs[:, 0]
+            for j in range(1, n):
+                exact = exact + cof[i][j] * rhs[:, j]
+            beta[:, i] = np.where(ok, exact / det_safe, rhs[:, i] / dsafe[i])
+    return beta_r, beta_s
+
+
+def _cofactors(d, syy):
+    """Cofactor matrix of the symmetric gradient block, n <= 3, with diagonal
+    ``d`` and off-diagonal entries ``syy(i, j)``."""
+    if len(d) == 1:
+        return [[1.0]]
+    if len(d) == 2:
+        o = -syy(0, 1)
+        return [[d[1], o], [o, d[0]]]
+    a, b, c = d
+    e, f, g = syy(0, 1), syy(0, 2), syy(1, 2)
+    c01 = f * g - e * c
+    c02 = e * g - f * b
+    c12 = e * f - a * g
+    return [[b * c - g * g, c01, c02], [c01, a * c - f * f, c12], [c02, c12, a * b - e * e]]
+
+
+def values(cfg: AcquisitionConfig, mean, packed) -> np.ndarray:
+    """The configured family at N candidates with joint means ``mean``
+    (N, 1 + n) and packed joint covariances ``packed`` (P, N)."""
+    if cfg.family in ("vanilla_pi", "vanilla_ei"):
+        std = np.sqrt(np.maximum(packed[0], 0.0))
+        if cfg.family == "vanilla_pi":
+            return improvement_probability(mean[:, 0], std, cfg.threshold)
+        return expected_improvement(mean[:, 0], std, cfg.threshold)
+    band = band_probability(mean, packed, cfg.epsilon)
+    if cfg.family == "derivative_only":
+        return band
+    cond_mean, cond_var = condition_on_zero_gradient(mean, packed)
+    if cfg.family == "joint_pi":
+        return improvement_probability(cond_mean, np.sqrt(cond_var), cfg.threshold) * band
+    return expected_improvement(cond_mean, np.sqrt(cond_var), cfg.threshold) * band
+
+
+# -- scalar API: N = 1 calls ----------------------------------------------------------
+
+
+def score(j: gp.JointGaussian, cfg: AcquisitionConfig) -> float:
+    """The configured family at one joint Gaussian."""
+    return float(values(cfg, j.mean[None, :], pack(j.cov))[0])
+
+
+def condition_value_on_gradient(j: gp.JointGaussian, g) -> ConditionalGaussian:
+    """The value of ``j`` conditioned on the gradient taking the value ``g``."""
+    g = np.atleast_1d(np.asarray(g, dtype=float))
+    if g.shape != (j.dim,):
+        raise DimensionMismatch(f"gradient value has shape {g.shape}, expected ({j.dim},)")
+    # pinning the gradient at g is pinning the shifted gradient (y - g) at 0
+    mean = j.mean.astype(float)
+    mean[1:] -= g
+    cond_mean, cond_var = condition_on_zero_gradient(mean[None, :], pack(j.cov))
+    return ConditionalGaussian(mean=float(cond_mean[0]), variance=float(cond_var[0]))
+
+
+def gradient_band_probability(j: gp.JointGaussian, epsilon: float) -> float:
+    """Probability that every gradient component of ``j`` lies inside
+    (-epsilon, epsilon)."""
+    if not epsilon > 0:
+        raise ValueError("epsilon must be positive")
+    return float(band_probability(j.mean[None, :], pack(j.cov), epsilon)[0])
 
 
 def evaluate(state: gp.GPState, x, cfg: AcquisitionConfig) -> float:
     """Evaluate the configured acquisition family at one point."""
-    return _DISPATCH[cfg.family](state, x, cfg)
+    return score(gp.joint_posterior(state, x), cfg)
+
+
+def joint_pi(state: gp.GPState, x, cfg: AcquisitionConfig) -> float:
+    """Joint probability of improvement at ``x``."""
+    return evaluate(state, x, replace(cfg, family="joint_pi"))
+
+
+def joint_ei(state: gp.GPState, x, cfg: AcquisitionConfig) -> float:
+    """Joint expected improvement at ``x``."""
+    return evaluate(state, x, replace(cfg, family="joint_ei"))
+
+
+def vanilla_pi(state: gp.GPState, x, cfg: AcquisitionConfig) -> float:
+    """Probability of improvement of the unconditioned value posterior."""
+    return evaluate(state, x, replace(cfg, family="vanilla_pi"))
+
+
+def vanilla_ei(state: gp.GPState, x, cfg: AcquisitionConfig) -> float:
+    """Expected improvement of the unconditioned value posterior."""
+    return evaluate(state, x, replace(cfg, family="vanilla_ei"))
+
+
+def derivative_only(state: gp.GPState, x, cfg: AcquisitionConfig) -> float:
+    """Gradient-band probability alone (ablation family)."""
+    return evaluate(state, x, replace(cfg, family="derivative_only"))

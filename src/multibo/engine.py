@@ -32,10 +32,9 @@ If the factor update fails (duplicate or near-duplicate sample), the state
 is refit from scratch through the jitter schedule and the cached
 covariances are rebuilt exactly.
 
-Gradient-covariance blocks are inverted in closed form for n <= 3 (the
-sizes the experiments use); numerically degenerate candidates fall back to
-a diagonal approximation, which only ever affects points whose posterior
-has already collapsed onto data.
+The acquisition is scored by ``multibo.acquisition.values`` directly on
+blocks of the packed covariances and the mean; the scalar API makes the
+same call with one candidate.
 
 Candidate sweep
 ---------------
@@ -54,13 +53,12 @@ OpenBLAS threads them itself, and running them inside the workers as well
 oversubscribes the cores. Workers run numpy on slices of the caches only:
 of the kernel they call ``fill_cross``, ``finish_dot`` and
 ``joint_column``, never ``eval_matrix``, ``grad_tensor`` or
-``joint_blocks_batch``, and nothing in ``gp`` or ``numerics``, so anything
-that wraps those functions sees calls from one thread. No arithmetic
+``joint_blocks_batch``. They call ``acquisition.values``, which uses nothing
+in ``gp`` and, of ``numerics``, only the unchecked Gaussian tail and
+density. So anything that wraps the kernel's matrix methods or the public
+``gp`` and ``numerics`` functions sees calls from one thread. No arithmetic
 depends on the block bounds, so the results do not depend on the block size
 or the worker count.
-
-Everything here is an internal optimization detail; the scalar reference
-path lives in ``multibo.gp`` and the two are held together by tests.
 """
 
 from __future__ import annotations
@@ -71,17 +69,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.special import erfc
 
-from . import numerics
+from . import acquisition, numerics
 from .errors import GridTooLarge
 from .gp import GPState
 from .numerics import CholeskyFactor
 
 _CHUNK = 20_000  # candidate rows per block in full rebuilds and sweeps
-
-_INV_SQRT_2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 _pool = None
 _pool_lock = threading.Lock()
@@ -107,27 +101,6 @@ def _forget_pool():
 os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _q(z):
-    return 0.5 * erfc(z * _INV_SQRT_2)
-
-
-def _phi(z):
-    return np.exp(-0.5 * z * z) * _INV_SQRT_2PI
-
-
-def _improvement_probability_vec(mean, std, threshold):
-    degenerate = np.where(mean > threshold, 1.0, np.where(mean == threshold, 0.5, 0.0))
-    safe = np.where(std > 0.0, std, 1.0)
-    return np.where(std > 0.0, _q((threshold - mean) / safe), degenerate)
-
-
-def _expected_improvement_vec(mean, std, threshold):
-    safe = np.where(std > 0.0, std, 1.0)
-    z = (threshold - mean) / safe
-    smooth = (mean - threshold) * _q(z) + safe * _phi(z)
-    return np.where(std > 0.0, smooth, np.maximum(mean - threshold, 0.0))
-
-
 class CandidateEvaluator:
     """Joint posterior statistics for a fixed candidate stack, updated per sample."""
 
@@ -141,8 +114,7 @@ class CandidateEvaluator:
         n_cand, n = self.cands.shape
         self.n = n
         # packed upper triangle of the (1+n) x (1+n) joint covariance, entry-major
-        self._pairs = [(i, j) for i in range(1 + n) for j in range(i, 1 + n)]
-        self._pos = {pair: p for p, pair in enumerate(self._pairs)}
+        self._pairs = acquisition.packed_pairs(n)
         need = self._bytes_needed(n_cand, n, self.capacity, kernel.cross_rows)
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         if need > have:
@@ -351,166 +323,13 @@ class CandidateEvaluator:
             m[i, j] = m[j, i] = self._scov[p, index]
         return m
 
-    def _sxx(self, rows):
-        return self._scov[self._pos[(0, 0)], rows]
-
-    def _sxy(self, d, rows):
-        return self._scov[self._pos[(0, 1 + d)], rows]
-
-    def _syy(self, i, j, rows):
-        key = (1 + i, 1 + j) if i <= j else (1 + j, 1 + i)
-        return self._scov[self._pos[key], rows]
-
-    def _band_probability(self, mu_y, epsilon, rows):
-        prob = np.ones(mu_y.shape[0])
-        for d in range(self.n):
-            s = np.sqrt(np.maximum(self._syy(d, d, rows), 0.0))
-            mu_d = mu_y[:, d]
-            safe = np.where(s > 0.0, s, 1.0)
-            spread = _q((-epsilon - mu_d) / safe) - _q((epsilon - mu_d) / safe)
-            prob *= np.where(s > 0.0, spread, (np.abs(mu_d) < epsilon).astype(float))
-        return np.clip(prob, 0.0, 1.0)
-
-    def _conditional_stats(self, mu, rows, first):
-        """Value mean/std conditioned on gradient 0 for candidate ``rows``.
-
-        Solves the (regularized) gradient block in closed form for n <= 3.
-        The conditional variance is clamped into [0, S_xx]: conditioning on
-        the gradient can only shrink the value variance. Also returns the
-        jitter index of the n > 3 solve (0 for n <= 3), which starts at
-        ``first``.
-        """
-        n = self.n
-        sxx = self._sxx(rows)
-        resid = np.empty((mu.shape[0], n))
-        for d in range(n):  # column by column, as in the kernels' finish_dot
-            np.negative(mu[:, 1 + d], out=resid[:, d])
-        if n <= 3:
-            beta_r, beta_s = self._solve_syy_small(resid, rows)
-            used = 0
-        else:
-            beta_r, beta_s, used = self._solve_syy_generic(resid, rows, first)
-        gain = np.zeros_like(sxx)
-        shrink = np.zeros_like(sxx)
-        for d in range(n):
-            gain += self._sxy(d, rows) * beta_r[:, d]
-            shrink += self._sxy(d, rows) * beta_s[:, d]
-        cond_mean = mu[:, 0] + gain
-        cond_var = np.clip(sxx - shrink, 0.0, np.maximum(sxx, 0.0))
-        return cond_mean, np.sqrt(cond_var), used
-
-    def _solve_syy_small(self, resid, rows):
-        """Closed-form solve of S_yy b = rhs for rhs in {resid, S_yx}, n <= 3.
-
-        Diagonal entries are floored at a tiny relative level; candidates
-        whose block determinant degenerates fall back to the diagonal
-        approximation (their posterior has collapsed onto data and the band
-        factor controls the acquisition there anyway).
-        """
-        n = self.n
-        N = resid.shape[0]
-        d = [np.maximum(self._syy(i, i, rows), 0.0) for i in range(n)]
-        scale = d[0].copy()
-        for i in range(1, n):
-            np.maximum(scale, d[i], out=scale)
-        floor = 1e-12 * np.maximum(scale, 1.0)
-        dsafe = [np.maximum(d[i], floor) for i in range(n)]
-        beta_r = np.empty((N, n))
-        beta_s = np.empty((N, n))
-        sxy = [self._sxy(i, rows) for i in range(n)]
-        if n == 1:
-            beta_r[:, 0] = resid[:, 0] / dsafe[0]
-            beta_s[:, 0] = sxy[0] / dsafe[0]
-            return beta_r, beta_s
-        if n == 2:
-            o = self._syy(0, 1, rows)
-            det = dsafe[0] * dsafe[1] - o * o
-            ok = np.abs(det) > 1e-12 * np.maximum(scale, 1.0) ** 2
-            det_safe = np.where(ok, det, 1.0)
-            for rhs, beta in ((resid, beta_r), (np.column_stack(sxy), beta_s)):
-                b0 = (dsafe[1] * rhs[:, 0] - o * rhs[:, 1]) / det_safe
-                b1 = (dsafe[0] * rhs[:, 1] - o * rhs[:, 0]) / det_safe
-                beta[:, 0] = np.where(ok, b0, rhs[:, 0] / dsafe[0])
-                beta[:, 1] = np.where(ok, b1, rhs[:, 1] / dsafe[1])
-            return beta_r, beta_s
-        a, b, c = dsafe
-        e, f, g = self._syy(0, 1, rows), self._syy(0, 2, rows), self._syy(1, 2, rows)
-        c00 = b * c - g * g
-        c01 = f * g - e * c
-        c02 = e * g - f * b
-        c11 = a * c - f * f
-        c12 = e * f - a * g
-        c22 = a * b - e * e
-        det = a * c00 + e * c01 + f * c02
-        ok = np.abs(det) > 1e-12 * np.maximum(scale, 1.0) ** 3
-        det_safe = np.where(ok, det, 1.0)
-        for rhs, beta in ((resid, beta_r), (np.column_stack(sxy), beta_s)):
-            r0, r1, r2 = rhs[:, 0], rhs[:, 1], rhs[:, 2]
-            beta[:, 0] = np.where(ok, (c00 * r0 + c01 * r1 + c02 * r2) / det_safe, r0 / a)
-            beta[:, 1] = np.where(ok, (c01 * r0 + c11 * r1 + c12 * r2) / det_safe, r1 / b)
-            beta[:, 2] = np.where(ok, (c02 * r0 + c12 * r1 + c22 * r2) / det_safe, r2 / c)
-        return beta_r, beta_s
-
-    def _solve_syy_generic(self, resid, rows, first):
-        """Batched solve of S_yy b = rhs, trying the jitter schedule from index
-        ``first``; returns the index that succeeded (the schedule's length when
-        the diagonal fallback ran)."""
-        n = self.n
-        N = resid.shape[0]
-        syy = np.empty((N, n, n))
-        for i in range(n):
-            for j in range(i, n):
-                syy[:, i, j] = syy[:, j, i] = self._syy(i, j, rows)
-        diag = np.einsum("aii->ai", syy)
-        floor = 1e-12 * np.maximum(diag.max(axis=1), 1.0)
-        idx = np.arange(n)
-        syy[:, idx, idx] = np.maximum(diag, floor[:, None])
-        rhs = np.empty((N, n, 2))
-        rhs[:, :, 0] = resid
-        for d in range(n):
-            rhs[:, d, 1] = self._sxy(d, rows)
-        for used in range(first, len(self.jitter_schedule)):
-            try:
-                sol = np.linalg.solve(syy + self.jitter_schedule[used] * np.eye(n), rhs)
-                return sol[:, :, 0], sol[:, :, 1], used
-            except np.linalg.LinAlgError:
-                continue
-        # last resort: diagonal approximation
-        sol = rhs / np.maximum(diag, floor[:, None])[:, :, None]
-        return sol[:, :, 0], sol[:, :, 1], len(self.jitter_schedule)
-
     def acquisition_values(self, cfg) -> np.ndarray:
         """Acquisition of the configured family at every candidate."""
         mu = self.posterior_mean()
         out = np.empty(self.cands.shape[0])
-        # every block must settle on the same jitter for its n > 3 gradient
-        # solve: the first one that succeeds for all candidates
-        first = 0
-        while True:
-            used = self._sweep(lambda rows: self._acquire(cfg, mu, rows, first, out))
-            if min(used, default=first) == max(used, default=first):
-                return out
-            first = max(used)
 
-    def _acquire(self, cfg, mu, rows, first, out):
-        """``acquisition_values`` for candidate ``rows``, written into ``out``;
-        returns the jitter index of the n > 3 gradient solve (0 if none ran)."""
-        mu = mu[rows]
-        if cfg.family in ("vanilla_pi", "vanilla_ei"):
-            mean = mu[:, 0]
-            std = np.sqrt(np.maximum(self._sxx(rows), 0.0))
-            if cfg.family == "vanilla_pi":
-                out[rows] = _improvement_probability_vec(mean, std, cfg.threshold)
-            else:
-                out[rows] = _expected_improvement_vec(mean, std, cfg.threshold)
-            return 0
-        band = self._band_probability(mu[:, 1:], cfg.epsilon, rows)
-        if cfg.family == "derivative_only":
-            out[rows] = band
-            return 0
-        cond_mean, cond_std, used = self._conditional_stats(mu, rows, first)
-        if cfg.family == "joint_pi":
-            out[rows] = _improvement_probability_vec(cond_mean, cond_std, cfg.threshold) * band
-        else:
-            out[rows] = _expected_improvement_vec(cond_mean, cond_std, cfg.threshold) * band
-        return used
+        def acquire(rows):
+            out[rows] = acquisition.values(cfg, mu[rows], self._scov[:, rows])
+
+        self._sweep(acquire)
+        return out

@@ -25,10 +25,6 @@ class EmptyData(MultiboError):
     """An operation requires at least one sample."""
 
 
-class SingularGradientCovariance(MultiboError):
-    """Gradient covariance block not invertible after the jitter schedule."""
-
-
 class GridTooLarge(MultiboError):
     """Candidate or search grid exceeds the configured size limit."""
 

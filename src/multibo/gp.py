@@ -13,8 +13,9 @@ where ``A`` stacks the value row ``a = k(x, x_1:k)`` over the gradient rows
 point. The constant prior mean re-enters the value component only; its
 derivative is zero.
 
-The conditional of the value given a pinned gradient follows the usual
-Gaussian conditioning (Schur complement) identities.
+This module holds the posterior only; conditioning the value on the
+gradient, the band probability and the acquisition families live in
+``multibo.acquisition``.
 """
 
 from __future__ import annotations
@@ -24,13 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .errors import (
-    DimensionMismatch,
-    EmptyData,
-    NonFinite,
-    NotPositiveDefinite,
-    SingularGradientCovariance,
-)
+from .errors import DimensionMismatch, EmptyData, NonFinite, NotPositiveDefinite
 from .kernels import Kernel
 
 # Diagonal entries of a posterior covariance may dip slightly negative from
@@ -97,18 +92,6 @@ class JointGaussian:
     @property
     def sigma_yy(self) -> np.ndarray:
         return self.cov[1:, 1:]
-
-
-@dataclass(frozen=True)
-class ConditionalGaussian:
-    """Value distribution after pinning the gradient: scalar mean and variance."""
-
-    mean: float
-    variance: float
-
-    @property
-    def std(self) -> float:
-        return float(np.sqrt(self.variance))
 
 
 def fit(inputs, values, prior_mean: float, kernel: Kernel,
@@ -201,67 +184,3 @@ def value_posterior(state: GPState, x) -> tuple[float, float]:
         a_val @ numerics.solve(state.factor, a_val)
     )
     return mean, max(var, 0.0)
-
-
-def condition_value_on_gradient(j: JointGaussian, g,
-                                jitter_schedule=numerics.DEFAULT_JITTER_SCHEDULE,
-                                ) -> ConditionalGaussian:
-    """Condition the value component on a pinned gradient value ``g``.
-
-    mean     = mu_x + S_xy S_yy^-1 (g - mu_y)
-    variance = S_xx - S_xy S_yy^-1 S_yx   (clamped at zero)
-
-    Gradient dimensions with (numerically) zero variance carry no
-    information and are excluded from the solve; by positive
-    semidefiniteness their cross-covariance with the value vanishes as
-    well. If the remaining block stays singular through the jitter
-    schedule, ``SingularGradientCovariance`` is raised.
-    """
-    g = np.atleast_1d(np.asarray(g, dtype=float))
-    n = j.dim
-    if g.shape != (n,):
-        raise DimensionMismatch(f"gradient value has shape {g.shape}, expected ({n},)")
-    syy = j.sigma_yy
-    diag = np.diag(syy)
-    act_tol = 1e-12 * max(1.0, float(diag.max(initial=0.0)))
-    active = diag > act_tol
-    if not np.any(active):
-        return ConditionalGaussian(mean=j.mu_x, variance=max(j.sigma_xx, 0.0))
-    idx = np.flatnonzero(active)
-    block = syy[np.ix_(idx, idx)]
-    try:
-        factor = numerics.cholesky(block, jitter_schedule)
-    except NotPositiveDefinite as exc:
-        raise SingularGradientCovariance(str(exc)) from exc
-    sxy = j.sigma_xy[idx]
-    resid = g[idx] - j.mu_y[idx]
-    beta = numerics.solve(factor, np.column_stack([resid, sxy]))
-    mean = j.mu_x + float(sxy @ beta[:, 0])
-    var = j.sigma_xx - float(sxy @ beta[:, 1])
-    return ConditionalGaussian(mean=mean, variance=max(var, 0.0))
-
-
-def gradient_band_probability(j: JointGaussian, epsilon: float) -> float:
-    """Probability that every gradient component lies inside (-epsilon, epsilon).
-
-    Computed as the product of per-dimension marginals
-
-        Q((-eps - mu_i) / s_i) - Q((eps - mu_i) / s_i),
-
-    with ``s_i`` the marginal standard deviation. A zero-variance dimension
-    contributes an indicator of |mu_i| < epsilon.
-    """
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    mu = j.mu_y
-    s = np.sqrt(np.maximum(np.diag(j.sigma_yy), 0.0))
-    prob = 1.0
-    for mu_i, s_i in zip(mu, s):
-        if s_i == 0.0:
-            factor = 1.0 if abs(mu_i) < epsilon else 0.0
-        else:
-            factor = numerics.q_function((-epsilon - mu_i) / s_i) - numerics.q_function(
-                (epsilon - mu_i) / s_i
-            )
-        prob *= factor
-    return float(min(max(prob, 0.0), 1.0))

@@ -87,6 +87,16 @@ def solve(factor: CholeskyFactor, b) -> np.ndarray:
     return solve_triangular(factor.lower.T, y, lower=False)
 
 
+def _q(z):
+    # Q(z) with no input check, for the vectorised acquisition math
+    return 0.5 * erfc(z * _INV_SQRT_2)
+
+
+def _phi(z):
+    # phi(z) with no input check, for the vectorised acquisition math
+    return np.exp(-0.5 * z * z) * _INV_SQRT_2PI
+
+
 def q_function(z):
     """Standard normal tail probability Q(z) = P(Z > z).
 
@@ -96,7 +106,7 @@ def q_function(z):
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)):
         raise NonFinite("q_function requires finite input")
-    out = 0.5 * erfc(z * _INV_SQRT_2)
+    out = _q(z)
     return float(out) if out.ndim == 0 else out
 
 
@@ -105,5 +115,5 @@ def normal_pdf(z):
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)):
         raise NonFinite("normal_pdf requires finite input")
-    out = np.exp(-0.5 * z * z) * _INV_SQRT_2PI
+    out = _phi(z)
     return float(out) if out.ndim == 0 else out

@@ -19,7 +19,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).parent))
 
 import oracles
-from multibo import gp
+from multibo import acquisition, gp
 from multibo.kernels import Polynomial, SquaredExponential
 
 SAMPLES = 1_000_000
@@ -55,7 +55,7 @@ def make_cases():
         s_min = float(np.sqrt(np.maximum(np.diag(j.sigma_yy), 0.0)).min())
         if s_min < 1e-3:
             continue
-        cond = gp.condition_value_on_gradient(j, np.zeros(n))
+        cond = acquisition.condition_value_on_gradient(j, np.zeros(n))
         if cond.std < 0.05:
             continue
         epsilon = float(rng.uniform(0.05, 0.3)) * s_min

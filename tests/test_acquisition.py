@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -6,17 +7,20 @@ import pytest
 from multibo import gp
 from multibo.acquisition import (
     AcquisitionConfig,
+    condition_value_on_gradient,
     derivative_only,
     evaluate,
     expected_improvement,
+    gradient_band_probability,
     improvement_probability,
     joint_ei,
-    joint_ei_value,
     joint_pi,
-    joint_pi_value,
+    packed_pairs,
+    score,
     vanilla_ei,
     vanilla_pi,
 )
+from multibo.engine import CandidateEvaluator
 from multibo.errors import ConfigError
 from multibo.kernels import SquaredExponential
 from multibo.numerics import normal_pdf
@@ -83,24 +87,24 @@ def test_joint_pi_certain_improvement_reduces_to_band():
     cov = np.array([[0.0, 0.0], [0.0, 4.0]])
     j = gp.JointGaussian(np.array([2.0, 0.0]), cov)
     cfg = AcquisitionConfig("joint_pi", 1.0, 0.5)
-    band = gp.gradient_band_probability(j, 0.5)
-    assert joint_pi_value(j, cfg) == pytest.approx(band, rel=1e-12)
+    band = gradient_band_probability(j, 0.5)
+    assert score(j, cfg) == pytest.approx(band, rel=1e-12)
     cfg_low = AcquisitionConfig("joint_pi", 3.0, 0.5)
-    assert joint_pi_value(j, cfg_low) == 0.0
+    assert score(j, cfg_low) == 0.0
 
 
 def test_joint_ei_zero_band_kills_value():
     cov = np.array([[1.0, 0.0], [0.0, 1e-12]])
     j = gp.JointGaussian(np.array([5.0, 10.0]), cov)  # gradient pinned far from 0
     cfg = AcquisitionConfig("joint_ei", 0.0, 0.1)
-    assert joint_ei_value(j, cfg) == 0.0
+    assert score(j, cfg) == 0.0
 
 
 def test_joint_ei_at_threshold():
     cov = np.array([[1.0, 0.0], [0.0, 1.0]])
     j = gp.JointGaussian(np.array([1.0, 0.0]), cov)
     cfg = AcquisitionConfig("joint_ei", 1.0, 100.0)  # band factor ~ 1
-    assert joint_ei_value(j, cfg) == pytest.approx(normal_pdf(0.0), rel=1e-6)
+    assert score(j, cfg) == pytest.approx(normal_pdf(0.0), rel=1e-6)
 
 
 def test_vanilla_pi_median_threshold():
@@ -131,9 +135,9 @@ def test_vanilla_dominates_joint_when_value_marginal_shared():
         cov[1:, 1:] = np.diag(rng.uniform(0.5, 2.0, n))
         j = gp.JointGaussian(rng.standard_normal(1 + n), cov)
         cfg = AcquisitionConfig("joint_pi", 0.2, 0.4)
-        pi_joint = joint_pi_value(j, cfg)
+        pi_joint = score(j, cfg)
         pi_vanilla = improvement_probability(j.mu_x, np.sqrt(var), 0.2)
-        band = gp.gradient_band_probability(j, 0.4)
+        band = gradient_band_probability(j, 0.4)
         assert pi_joint <= pi_vanilla + 1e-12
         assert pi_joint == pytest.approx(pi_vanilla * band, rel=1e-9)
 
@@ -145,8 +149,8 @@ def test_joint_pi_bounded_by_factors():
         x = rng.uniform(-2, 2, 2)
         cfg = AcquisitionConfig("joint_pi", 0.0, 0.2)
         j = gp.joint_posterior(state, x)
-        cond = gp.condition_value_on_gradient(j, np.zeros(2))
-        band = gp.gradient_band_probability(j, 0.2)
+        cond = condition_value_on_gradient(j, np.zeros(2))
+        band = gradient_band_probability(j, 0.2)
         pi_cond = improvement_probability(cond.mean, cond.std, 0.0)
         val = joint_pi(state, x, cfg)
         assert 0.0 <= val <= 1.0
@@ -169,7 +173,7 @@ def test_band_limit_recovers_conditional_improvement():
     state = se_state(rng, n=1, k=4)
     x = np.array([-0.5])
     j = gp.joint_posterior(state, x)
-    cond = gp.condition_value_on_gradient(j, np.zeros(1))
+    cond = condition_value_on_gradient(j, np.zeros(1))
     big = AcquisitionConfig("joint_pi", 0.1, 1e6)
     assert joint_pi(state, x, big) == pytest.approx(
         improvement_probability(cond.mean, cond.std, 0.1), rel=1e-9
@@ -183,7 +187,7 @@ def test_derivative_only_prior_region_zero_mean():
     far = derivative_only(state, [10.0], cfg)
     j = gp.joint_posterior(state, [10.0])
     assert np.allclose(j.mu_y, 0.0, atol=1e-12)
-    assert far == pytest.approx(gp.gradient_band_probability(j, 0.3), rel=1e-12)
+    assert far == pytest.approx(gradient_band_probability(j, 0.3), rel=1e-12)
 
 
 def test_evaluate_dispatch():
@@ -200,20 +204,80 @@ def test_evaluate_dispatch():
 def test_joint_pi_matches_monte_carlo_fixtures():
     for row in load_fixtures():
         cfg = AcquisitionConfig("joint_pi", row["threshold"], row["epsilon"])
-        val = joint_pi_value(row["j"], cfg)
+        val = score(row["j"], cfg)
         assert abs(val - row["pi_mc"]) <= 0.01
 
 
 def test_joint_ei_matches_monte_carlo_fixtures():
     for row in load_fixtures():
         cfg = AcquisitionConfig("joint_ei", row["threshold"], row["epsilon"])
-        val = joint_ei_value(row["j"], cfg)
-        cond = gp.condition_value_on_gradient(row["j"], np.zeros(row["j"].dim))
+        val = score(row["j"], cfg)
+        cond = condition_value_on_gradient(row["j"], np.zeros(row["j"].dim))
         tol = max(0.02 * cond.std, 4.0 * row["ei_se"])
         assert abs(val - row["ei_mc"]) <= tol
 
 
 def test_band_matches_diagonal_monte_carlo_fixtures():
     for row in load_fixtures():
-        band = gp.gradient_band_probability(row["j"], row["epsilon"])
+        band = gradient_band_probability(row["j"], row["epsilon"])
         assert abs(band - row["band_mc"]) <= 0.01
+
+
+def _joint(sxy, mu_y, syy):
+    """Value mean 0.3 and variance 1 over the gradient block ``syy``."""
+    n = len(sxy)
+    cov = np.eye(1 + n)
+    cov[0, 1:] = cov[1:, 0] = sxy
+    cov[1:, 1:] = syy
+    return np.concatenate([[0.3], mu_y]), cov
+
+
+# exactly singular gradient blocks: their entries are binary fractions, so
+# elimination cancels exactly and the determinant is 0
+SINGULAR_BLOCKS = [
+    _joint([0.5, 0.5], [0.2, 0.2], [[1.0, 1.0], [1.0, 1.0]]),
+    _joint([0.2, 0.2, -0.3], [0.1, 0.1, 0.4],
+           [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 4.0]]),
+    _joint([0.4, 0.4, 0.1, -0.2], [0.1, 0.1, -0.3, 0.05],
+           [[2.0, 2.0, 0.0, 0.0], [2.0, 2.0, 0.0, 0.0], [0.0, 0.0, 0.5, 0.0], [0.0, 0.0, 0.0, 4.0]]),
+    _joint([0.3] * 5, [0.1] * 5, np.full((5, 5), 2.0)),
+]
+
+
+def diagonal_fallback(mean, cov, cfg):
+    """Conditional value mean and variance, and joint EI, with S_yy^-1
+    replaced by the inverse of its diagonal; by hand, one candidate."""
+    d = np.diag(cov)[1:]
+    sxy = cov[0, 1:]
+    cond_mean = mean[0] - float(np.sum(sxy * mean[1:] / d))
+    cond_var = min(max(cov[0, 0] - float(np.sum(sxy * sxy / d)), 0.0), cov[0, 0])
+    std = math.sqrt(cond_var)
+    if std > 0.0:
+        z = (cfg.threshold - cond_mean) / std
+        ei = (cond_mean - cfg.threshold) * 0.5 * math.erfc(z / math.sqrt(2.0)) \
+            + std * math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    else:
+        ei = max(cond_mean - cfg.threshold, 0.0)
+    band = math.prod(0.5 * (math.erfc((-cfg.epsilon - m) / math.sqrt(2.0 * v))
+                            - math.erfc((cfg.epsilon - m) / math.sqrt(2.0 * v)))
+                     for m, v in zip(mean[1:], d))
+    return cond_mean, cond_var, ei * band
+
+
+def test_singular_gradient_blocks_take_the_diagonal_fallback():
+    cfg = AcquisitionConfig("joint_ei", 0.1, 0.5)
+    for mean, cov in SINGULAR_BLOCKS:
+        n = len(mean) - 1
+        assert np.linalg.det(cov[1:, 1:]) == 0.0
+        want_mean, want_var, want = diagonal_fallback(mean, cov, cfg)
+        j = gp.JointGaussian(mean, cov)
+        cond = condition_value_on_gradient(j, np.zeros(n))
+        assert cond.mean == pytest.approx(want_mean, rel=1e-14)
+        assert cond.variance == pytest.approx(want_var, rel=1e-14)
+        assert score(j, cfg) == pytest.approx(want, rel=1e-12)
+        # the engine, at a candidate whose posterior is this Gaussian
+        ev = CandidateEvaluator(SquaredExponential(1.0, 1.0), np.zeros((3, n)), 0.0, capacity=1)
+        ev.fit(np.ones((1, n)), [1.0])
+        ev.posterior_mean()[0] = mean
+        ev._scov[:, 0] = [cov[p] for p in packed_pairs(n)]
+        assert ev.acquisition_values(cfg)[0] == pytest.approx(want, rel=1e-12)

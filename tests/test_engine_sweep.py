@@ -11,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multibo import engine, objectives, optimizer
-from multibo.acquisition import AcquisitionConfig
+from multibo.acquisition import AcquisitionConfig, packed_pairs
 from multibo.engine import CandidateEvaluator
 from multibo.errors import GridTooLarge, MultiboError
 from multibo.kernels import Polynomial, SquaredExponential
+from test_acquisition import diagonal_fallback
 
 FAMILIES = ("joint_pi", "joint_ei", "vanilla_pi", "vanilla_ei", "derivative_only")
 _DEFAULT_CHUNK = engine._CHUNK
@@ -120,21 +121,25 @@ def test_a_forked_child_gets_a_fresh_pool():
     assert not child.is_alive()
 
 
-def test_blocks_agree_on_the_jitter_of_the_n4_gradient_solve():
+def test_n4_gradient_solve_does_not_depend_on_the_block_size():
     rng = np.random.default_rng(3)
     cands = rng.uniform(-1.0, 1.0, (12, 4))
     ev = CandidateEvaluator(SquaredExponential(2.0, 0.6), cands, 0.0, capacity=5)
     ev.fit(rng.uniform(-1.0, 1.0, (5, 4)), rng.standard_normal(5))
-    # an exactly singular gradient block at candidate 0: without jitter its
-    # block fails while the other blocks succeed
+    # an exactly singular gradient block at candidate 0, which takes the
+    # diagonal fallback while the other candidates are solved exactly
+    pairs = packed_pairs(4)
     for i in range(4):
         for j in range(i, 4):
-            ev._scov[ev._pos[(1 + i, 1 + j)], 0] = 1.0 if (i == j or (i, j) == (0, 1)) else 0.0
+            ev._scov[pairs.index((1 + i, 1 + j)), 0] = \
+                1.0 if (i == j or (i, j) == (0, 1)) else 0.0
     cfg = AcquisitionConfig("joint_ei", 0.2, 0.3)
     want = ev.acquisition_values(cfg).copy()
     with mock.patch.object(engine, "_CHUNK", 3):
         got = ev.acquisition_values(cfg)
     np.testing.assert_array_equal(got, want)
+    _, _, fallback = diagonal_fallback(ev.posterior_mean()[0], ev.joint_cov(0), cfg)
+    assert want[0] == pytest.approx(fallback, rel=1e-12)
 
 
 def test_evaluator_refuses_a_capacity_beyond_physical_memory():
