@@ -186,12 +186,36 @@ def test_cmd_compare_requires_synthetic(tmp_path):
 
 
 def test_reports_regenerate_from_traces(tmp_path):
-    out = tmp_path / "abl"
-    harness.cmd_ablate(write_config(tmp_path), out=str(out))
-    paths = [out / v / "trace.csv" for v in ("joint", "posterior_only", "derivative_only")]
-    regenerated = harness.ablate_report_rows(paths)
-    _, rows, _ = traceio.read_report(out / "report.csv")
-    assert [[str(v) if v is not None else "" for v in row] for row in regenerated] == rows
+    cfgp = write_config(tmp_path)
+    commands = [
+        (lambda out: harness.cmd_ablate(cfgp, out=out),
+         ("joint", "posterior_only", "derivative_only"), harness.ablate_report_rows),
+        (lambda out: harness.cmd_sweep(cfgp, "threshold", [0.2, 0.45], out=out),
+         ("threshold=0.2", "threshold=0.45"), harness.sweep_report_rows),
+        (lambda out: harness.cmd_compare(cfgp, out=out),
+         ("joint_pi", "joint_ei", "vanilla_pi", "vanilla_ei"), harness.compare_report_rows),
+    ]
+    for n, (command, subdirs, report_rows) in enumerate(commands):
+        out = tmp_path / f"multi{n}"
+        assert command(str(out)) == 0
+        regenerated = report_rows([out / v / "trace.csv" for v in subdirs])
+        _, rows, _ = traceio.read_report(out / "report.csv")
+        assert [[str(v) if v is not None else "" for v in row] for row in regenerated] == rows
+
+
+def test_summary_metrics_match_the_compare_report(tmp_path):
+    out = tmp_path / "cmp"
+    assert harness.cmd_compare(write_config(tmp_path), out=str(out)) == 0
+    header, rows, _ = traceio.read_report(out / "report.csv")
+    for row in rows:
+        metrics = json.loads((out / row[0] / "summary.json").read_text())["metrics"]
+        cells = dict(zip(header, row))
+        hits = metrics["first_hits"]
+        for i in range(3):
+            step = hits.get(str(i))
+            assert cells[f"first_hit_max{i + 1}"] == ("" if step is None else str(step))
+        for c in (4, 8):
+            assert cells[f"avg_distance_{c}"] == repr(metrics["checkpoint_averages"][str(c)])
 
 
 def test_bundled_configs_parse():
