@@ -295,6 +295,10 @@ def parse_config_text(text) -> ExperimentConfig:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if not cfg.hit_radius > 0:
+        raise ConfigError(f"hit_radius must be positive, got {cfg.hit_radius}")
+    if min(cfg.checkpoints) < 1:
+        raise ConfigError(f"checkpoints must all be at least 1, got {list(cfg.checkpoints)}")
     # validate model/optimizer settings eagerly so bad configs fail before running
     cfg.make_kernel()
     cfg.make_acquisition()

@@ -82,6 +82,12 @@ class OptimizerConfig:
             )
         if self.grid_counts is not None and len(self.grid_counts) != bounds.shape[0]:
             raise ConfigError("grid_counts must give one resolution per dimension")
+        if self.grid_step is not None and not self.grid_step > 0:
+            raise ConfigError(f"grid_step must be positive, got {self.grid_step}")
+        if self.grid_counts is not None and min(self.grid_counts) < 1:
+            raise ConfigError(f"grid_counts must all be at least 1, got {list(self.grid_counts)}")
+        if self.random_candidates is not None and self.random_candidates < 1:
+            raise ConfigError(f"random_candidates must be at least 1, got {self.random_candidates}")
         if self.prior_points is not None:
             pts = np.atleast_2d(np.asarray(self.prior_points, dtype=float))
             if pts.shape[1] != bounds.shape[0]:

@@ -73,6 +73,31 @@ def test_parse_config_candidate_mode_exclusive(tmp_path):
     assert "grid_step" in str(err.value)
 
 
+@pytest.mark.parametrize("drop, line, key", [
+    ("hit_radius", "hit_radius = 0", "hit_radius"),
+    ("hit_radius", "hit_radius = -0.1", "hit_radius"),
+    ("checkpoints", "checkpoints = 0,4", "checkpoints"),
+    ("checkpoints", "checkpoints = 4,-8", "checkpoints"),
+    ("grid_count", "grid_step = 0", "grid_step"),
+    ("grid_count", "grid_count = 0", "grid_counts"),
+    ("grid_count", "random_candidates = 0", "random_candidates"),
+], ids=["radius0", "radius_negative", "checkpoint0", "checkpoint_negative",
+        "grid_step0", "grid_count0", "random_candidates0"])
+def test_parse_config_rejects_bad_sizes(tmp_path, drop, line, key):
+    text = "\n".join(l for l in BASE_CONFIG.splitlines() if not l.startswith(drop))
+    with pytest.raises(ConfigError) as err:
+        harness.parse_config(write_config(tmp_path, f"{text}\n{line}\n"))
+    assert key in str(err.value)
+
+
+def test_zero_hit_radius_exits_before_running(tmp_path, capsys):
+    cfgp = write_config(tmp_path, BASE_CONFIG.replace("hit_radius   = 0.02", "hit_radius = 0"))
+    out = tmp_path / "out"
+    assert harness.main(["run", str(cfgp), "--out", str(out)]) == 1
+    assert "hit_radius" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cmd_run_writes_outputs(tmp_path, capsys):
     out = tmp_path / "out"
     rc = harness.cmd_run(write_config(tmp_path), out=str(out))

@@ -40,6 +40,16 @@ def test_config_validation():
         base_config(prior_points=[[0.5], [0.5001]], min_distance=0.01)
 
 
+def test_config_rejects_empty_candidate_sets():
+    for over in ({"grid_step": 0.0}, {"grid_step": -0.1}, {"random_candidates": 0}):
+        with pytest.raises(ConfigError):
+            base_config(grid_counts=None, **over)
+    with pytest.raises(ConfigError):
+        base_config(grid_counts=(0,))
+    with pytest.raises(ConfigError):
+        base_config(bounds=[(0.0, 1.0), (0.0, 1.0)], grid_counts=(5, 0))
+
+
 def test_generate_candidates_grid_count():
     cfg = base_config(grid_counts=(200,))
     cands = generate_candidates(cfg)
