@@ -350,33 +350,12 @@ def _execute_single(cfg: ExperimentConfig, spec: BenchmarkSpec, out_dir: Path,
             "checkpoint_averages": {str(k): v for k, v in report.checkpoint_averages.items()},
             "first_hits": {str(k): v for k, v in report.first_hits.items()},
             "distinct_found": report.distinct_found,
-            "final_average_distance": (
-                float(np.mean(report.per_step_distances)) if report.per_step_distances else None
-            ),
+            "final_average_distance": report.final_average_distance,
         }
     traceio.write_summary(out_dir / "summary.json", summary)
     if cfg.emit_plot_data:
-        _write_plot_data(out_dir / "plot_data.csv", trace, echo)
+        traceio.write_plot_data(out_dir / "plot_data.csv", trace, echo)
     return trace
-
-
-def _write_plot_data(path, trace: RunTrace, echo: dict) -> None:
-    import json as _json
-
-    dim = trace.config.dim
-    cols = ["step"] + [f"x{i + 1}" for i in range(dim)] + ["value", "acquisition", "distance"]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# config {_json.dumps(echo, sort_keys=True)}\n")
-        fh.write(",".join(cols) + "\n")
-        for rec in trace.steps:
-            row = [str(rec.step)]
-            row += [repr(float(v)) for v in rec.point]
-            row += [
-                repr(rec.value),
-                "" if rec.acquisition is None else repr(rec.acquisition),
-                "" if rec.distance is None else repr(rec.distance),
-            ]
-            fh.write(",".join(row) + "\n")
 
 
 def _spec_from_echo(echo: dict) -> BenchmarkSpec:
@@ -389,84 +368,69 @@ def _spec_from_echo(echo: dict) -> BenchmarkSpec:
     )
 
 
-def _trace_row_stats(tf: traceio.TraceFile):
-    """Shared per-trace report figures, recomputed from the file alone."""
-    spec = _spec_from_echo(tf.config_echo)
-    bo = [s for s in tf.steps if s.kind == "bo"]
-    min_pairwise = min_pairwise_distance([s.point for s in tf.steps])
-    flags = [s for s in tf.steps if s.flagged]
-    radius = float(tf.config_echo.get("hit_radius", 0.1))
-    distinct = None
-    off_truth = None
-    avg_final = None
-    if spec.has_truth:
-        hit = set()
-        off_truth = 0
-        for s in flags:
-            d = np.linalg.norm(spec.ground_truth - s.point, axis=1)
-            close = np.flatnonzero(d <= radius)
-            if close.size:
-                hit.add(int(close[np.argmin(d[close])]))
-            else:
-                off_truth += 1
-        distinct = len(hit)
-        if bo:
-            avg_final = float(np.mean([s.distance for s in bo]))
-    return spec, bo, flags, min_pairwise, distinct, off_truth, avg_final
+def _trace_reports(trace_paths):
+    """Each trace file with its ``metric_report``, rebuilt from the file alone
+    (``None`` for a benchmark without ground truth)."""
+    for path in trace_paths:
+        tf = traceio.read_trace(path)
+        echo = tf.config_echo
+        spec = _spec_from_echo(echo)
+        report = None
+        if spec.has_truth:
+            report = metrics_mod.metric_report(tf, spec, echo["checkpoints"], float(echo["hit_radius"]))
+        yield Path(path), tf, report
+
+
+def _run_counts(tf: traceio.TraceFile, report) -> list:
+    """Selected steps, flagged steps, and the distinct truths the flags located."""
+    return [
+        sum(1 for s in tf.steps if s.kind == "bo"),
+        sum(1 for s in tf.steps if s.flagged),
+        None if report is None else len(report.located_truths),
+    ]
+
+
+def _repr(value):
+    return None if value is None else repr(value)
+
+
+def _final_distance(report):
+    return None if report is None else _repr(report.final_average_distance)
 
 
 def sweep_report_rows(trace_paths):
     rows = []
-    for path in trace_paths:
-        tf = traceio.read_trace(path)
-        _, bo, flags, min_pairwise, distinct, _, avg_final = _trace_row_stats(tf)
+    for path, tf, report in _trace_reports(trace_paths):
         rows.append([
             tf.config_echo.get("sweep_param"),
             tf.config_echo.get("sweep_value"),
-            Path(path).parent.name,
-            len(bo),
-            len(flags),
-            distinct,
-            repr(min_pairwise),
-            None if avg_final is None else repr(avg_final),
+            path.parent.name,
+            *_run_counts(tf, report),
+            repr(min_pairwise_distance([s.point for s in tf.steps])),
+            _final_distance(report),
         ])
     return rows
 
 
 def ablate_report_rows(trace_paths):
     rows = []
-    for path in trace_paths:
-        tf = traceio.read_trace(path)
-        _, bo, flags, _, distinct, off_truth, avg_final = _trace_row_stats(tf)
+    for _, tf, report in _trace_reports(trace_paths):
         rows.append([
             tf.config_echo.get("variant"),
             tf.config_echo.get("acquisition"),
-            len(bo),
-            len(flags),
-            distinct,
-            off_truth,
-            None if avg_final is None else repr(avg_final),
+            *_run_counts(tf, report),
+            None if report is None else report.flags_off_truth,
+            _final_distance(report),
         ])
     return rows
 
 
 def compare_report_rows(trace_paths):
     rows = []
-    for path in trace_paths:
-        tf = traceio.read_trace(path)
-        spec, bo, _, _, _, _, _ = _trace_row_stats(tf)
-        radius = float(tf.config_echo["hit_radius"])
-        checkpoints = [int(c) for c in tf.config_echo["checkpoints"]]
-        hits: dict[int, int | None] = {i: None for i in range(min(3, spec.ground_truth.shape[0]))}
-        for s in bo:
-            for i in hits:
-                if hits[i] is None and np.linalg.norm(s.point - spec.ground_truth[i]) <= radius:
-                    hits[i] = s.step
-        dists = [s.distance for s in bo]
+    for _, tf, report in _trace_reports(trace_paths):
         row = [tf.config_echo.get("acquisition")]
-        row += [hits.get(i) for i in range(3)]
-        for c in checkpoints:
-            row.append(repr(float(np.mean(dists[:c]))) if len(dists) >= c else None)
+        row += [report.first_hits.get(i) for i in range(3)]
+        row += [_repr(report.checkpoint_averages.get(int(c))) for c in tf.config_echo["checkpoints"]]
         rows.append(row)
     return rows
 
@@ -474,11 +438,30 @@ def compare_report_rows(trace_paths):
 # -- subcommands ----------------------------------------------------------------
 
 
+def _out_dir(config_path, cfg: ExperimentConfig, out, command) -> Path:
+    """``--out``, else the config's ``out_dir``, else ``runs/<config stem>_<command>``."""
+    return Path(out or cfg.out_dir or f"runs/{Path(config_path).stem}_{command}")
+
+
+_DONE = {"sweep": "sweep", "ablate": "ablation", "compare": "comparison"}
+
+
+def _run_all(command, config_path, cfg, spec, runs, columns, report_rows, seed, out, **echo) -> int:
+    """Execute ``runs``, each ``(subdir, config, family, echo extras)``, then
+    write ``report.csv`` rebuilt from their traces by ``report_rows``."""
+    out_dir = _out_dir(config_path, cfg, out, command)
+    for subdir, run_cfg, family, extra in runs:
+        _execute_single(run_cfg, spec, out_dir / subdir, family=family, seed=seed, echo_extra=extra)
+    rows = report_rows([out_dir / subdir / "trace.csv" for subdir, *_ in runs])
+    traceio.write_report(out_dir / "report.csv", columns, rows, cfg.echo(**echo), kind=command)
+    print(f"{_DONE[command]} complete: {out_dir}")
+    return 0
+
+
 def cmd_run(config_path, seed=None, out=None) -> int:
     cfg = parse_config(config_path)
-    spec = cfg.make_benchmark()
-    out_dir = Path(out or cfg.out_dir or f"runs/{Path(config_path).stem}_run")
-    _execute_single(cfg, spec, out_dir, seed=seed)
+    out_dir = _out_dir(config_path, cfg, out, "run")
+    _execute_single(cfg, cfg.make_benchmark(), out_dir, seed=seed)
     print(f"run complete: {out_dir}")
     return 0
 
@@ -487,30 +470,19 @@ def cmd_sweep(config_path, param, values, seed=None, out=None) -> int:
     if param not in SWEEP_PARAMS:
         raise ConfigError(f"sweep parameter must be one of {SWEEP_PARAMS}, got {param!r}")
     cfg = parse_config(config_path)
-    spec = cfg.make_benchmark()
-    out_dir = Path(out or cfg.out_dir or f"runs/{Path(config_path).stem}_sweep")
-    trace_paths = []
+    runs = []
     for value in values:
         if param in ("alpha", "length_scale"):
             if cfg.kernel_name != "se":
                 raise ConfigError(f"sweep over {param!r} requires the se kernel")
-            params = dict(cfg.kernel_params)
-            params[param] = value
-            run_cfg = replace(cfg, kernel_params=params)
-        elif param == "threshold":
-            run_cfg = replace(cfg, threshold=value)
+            run_cfg = replace(cfg, kernel_params={**cfg.kernel_params, param: value})
         else:
-            run_cfg = replace(cfg, min_distance=value)
-        sub = out_dir / f"{param}={value:g}"
-        _execute_single(run_cfg, spec, sub, seed=seed,
-                        echo_extra={"sweep_param": param, "sweep_value": value})
-        trace_paths.append(sub / "trace.csv")
+            run_cfg = replace(cfg, **{param: value})
+        runs.append((f"{param}={value:g}", run_cfg, None, {"sweep_param": param, "sweep_value": value}))
     columns = ["param", "value", "run_dir", "steps", "n_flagged",
                "distinct_truths", "min_pairwise_distance", "avg_distance_final"]
-    traceio.write_report(out_dir / "report.csv", columns, sweep_report_rows(trace_paths),
-                         cfg.echo(sweep_param=param), kind="sweep")
-    print(f"sweep complete: {out_dir}")
-    return 0
+    return _run_all("sweep", config_path, cfg, cfg.make_benchmark(), runs, columns,
+                    sweep_report_rows, seed, out, sweep_param=param)
 
 
 _ABLATION_VARIANTS = {
@@ -525,20 +497,12 @@ def cmd_ablate(config_path, seed=None, out=None) -> int:
     cfg = parse_config(config_path)
     if cfg.acquisition not in _ABLATION_VARIANTS:
         raise ConfigError("ablate requires acquisition joint_pi or joint_ei")
-    spec = cfg.make_benchmark()
-    out_dir = Path(out or cfg.out_dir or f"runs/{Path(config_path).stem}_ablate")
-    trace_paths = []
-    for variant, family in _ABLATION_VARIANTS[cfg.acquisition]:
-        sub = out_dir / variant
-        _execute_single(cfg, spec, sub, family=family, seed=seed,
-                        echo_extra={"variant": variant})
-        trace_paths.append(sub / "trace.csv")
+    runs = [(variant, cfg, family, {"variant": variant})
+            for variant, family in _ABLATION_VARIANTS[cfg.acquisition]]
     columns = ["variant", "acquisition", "steps", "n_flagged",
                "distinct_truths", "flags_off_truth", "avg_distance_final"]
-    traceio.write_report(out_dir / "report.csv", columns, ablate_report_rows(trace_paths),
-                         cfg.echo(), kind="ablate")
-    print(f"ablation complete: {out_dir}")
-    return 0
+    return _run_all("ablate", config_path, cfg, cfg.make_benchmark(), runs, columns,
+                    ablate_report_rows, seed, out)
 
 
 def cmd_compare(config_path, seed=None, out=None) -> int:
@@ -548,19 +512,12 @@ def cmd_compare(config_path, seed=None, out=None) -> int:
     spec = cfg.make_benchmark()
     if not spec.has_truth:
         raise ConfigError("compare requires ground-truth optima")
-    out_dir = Path(out or cfg.out_dir or f"runs/{Path(config_path).stem}_compare")
-    trace_paths = []
-    for family in ("joint_pi", "joint_ei", "vanilla_pi", "vanilla_ei"):
-        sub = out_dir / family
-        _execute_single(cfg, spec, sub, family=family, seed=seed,
-                        echo_extra={"method": family})
-        trace_paths.append(sub / "trace.csv")
+    runs = [(family, cfg, family, {"method": family})
+            for family in ("joint_pi", "joint_ei", "vanilla_pi", "vanilla_ei")]
     columns = ["method", "first_hit_max1", "first_hit_max2", "first_hit_max3"]
     columns += [f"avg_distance_{c}" for c in cfg.checkpoints]
-    traceio.write_report(out_dir / "report.csv", columns, compare_report_rows(trace_paths),
-                         cfg.echo(), kind="compare")
-    print(f"comparison complete: {out_dir}")
-    return 0
+    return _run_all("compare", config_path, cfg, spec, runs, columns,
+                    compare_report_rows, seed, out)
 
 
 def main(argv=None) -> int:

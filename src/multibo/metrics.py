@@ -4,6 +4,10 @@ The central quantity is the running average distance: the prefix mean, over
 the optimizer-selected points of the first ``n`` steps, of each point's
 distance to its nearest registered optimum. Prior-design evaluations are
 excluded; only step-indexed selections count.
+
+``metric_report`` computes every figure that ``summary.json`` and
+``report.csv`` give for a trace, from anything with ``.steps``: a
+``RunTrace`` or a ``TraceFile``.
 """
 
 from __future__ import annotations
@@ -14,27 +18,31 @@ import numpy as np
 
 from .errors import NoGroundTruth
 from .objectives import BenchmarkSpec, nearest_truth_distance
-from .optimizer import RunTrace
 
 
 @dataclass(frozen=True)
 class MetricReport:
     """Distances per step, prefix means at checkpoints, and first-hit steps
-    (by truth index, best optimum first)."""
+    (by truth index, best optimum first). A flagged step whose nearest truth
+    lies within the hit radius locates that truth; any other flagged step
+    counts as off-truth."""
 
     per_step_distances: tuple[float, ...]
     checkpoint_averages: dict[int, float]
     first_hits: dict[int, int | None]
     distinct_found: int
+    final_average_distance: float | None
+    located_truths: frozenset[int]
+    flags_off_truth: int
 
 
-def _bo_distances(trace: RunTrace, spec: BenchmarkSpec) -> list[float]:
+def _bo_distances(trace, spec: BenchmarkSpec) -> list[float]:
     if not spec.has_truth:
         raise NoGroundTruth(f"benchmark {spec.name!r} has no registered optima")
-    return [nearest_truth_distance(spec, s.point) for s in trace.bo_steps()]
+    return [nearest_truth_distance(spec, s.point) for s in trace.steps if s.kind == "bo"]
 
 
-def average_distance(trace: RunTrace, spec: BenchmarkSpec, upto: int) -> float:
+def average_distance(trace, spec: BenchmarkSpec, upto: int) -> float:
     """Mean nearest-truth distance over the first ``upto`` selected points."""
     dists = _bo_distances(trace, spec)
     if upto < 1 or upto > len(dists):
@@ -42,30 +50,43 @@ def average_distance(trace: RunTrace, spec: BenchmarkSpec, upto: int) -> float:
     return float(np.mean(dists[:upto]))
 
 
-def first_hit_steps(trace: RunTrace, spec: BenchmarkSpec, radius: float) -> dict[int, int | None]:
+def first_hit_steps(trace, spec: BenchmarkSpec, radius: float) -> dict[int, int | None]:
     """Earliest selected step landing within ``radius`` of each optimum."""
     if radius <= 0:
         raise ValueError("radius must be positive")
     if not spec.has_truth:
         raise NoGroundTruth(f"benchmark {spec.name!r} has no registered optima")
     hits: dict[int, int | None] = {i: None for i in range(spec.ground_truth.shape[0])}
-    for rec in trace.bo_steps():
+    for rec in (s for s in trace.steps if s.kind == "bo"):
         for i, truth in enumerate(spec.ground_truth):
             if hits[i] is None and np.linalg.norm(rec.point - truth) <= radius:
                 hits[i] = rec.step
     return hits
 
 
-def metric_report(trace: RunTrace, spec: BenchmarkSpec, checkpoints, radius: float) -> MetricReport:
-    """Bundle per-step distances, checkpoint averages, and first hits."""
+def metric_report(trace, spec: BenchmarkSpec, checkpoints, radius: float) -> MetricReport:
+    """Every trace figure: distances, checkpoint averages, first hits, and
+    the truths the flagged steps located."""
     dists = _bo_distances(trace, spec)
     checkpoint_averages = {
         int(c): float(np.mean(dists[: int(c)])) for c in checkpoints if 1 <= c <= len(dists)
     }
     hits = first_hit_steps(trace, spec, radius)
+    located, off_truth = set(), 0
+    for s in trace.steps:
+        if s.flagged:
+            d = np.linalg.norm(spec.ground_truth - s.point, axis=1)
+            nearest = int(np.argmin(d))
+            if d[nearest] <= radius:
+                located.add(nearest)
+            else:
+                off_truth += 1
     return MetricReport(
         per_step_distances=tuple(dists),
         checkpoint_averages=checkpoint_averages,
         first_hits=hits,
         distinct_found=sum(1 for v in hits.values() if v is not None),
+        final_average_distance=float(np.mean(dists)) if dists else None,
+        located_truths=frozenset(located),
+        flags_off_truth=off_truth,
     )

@@ -48,6 +48,18 @@ def write_trace(path, trace: RunTrace, config_echo: dict) -> None:
             fh.write(",".join(row) + "\n")
 
 
+def write_plot_data(path, trace: RunTrace, config_echo: dict) -> None:
+    """``plot_data.csv``: the trace's rows without the kind and flag columns."""
+    cols = ["step"] + [f"x{i + 1}" for i in range(trace.config.dim)] + ["value", "acquisition", "distance"]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# config {json.dumps(config_echo, sort_keys=True)}\n")
+        fh.write(",".join(cols) + "\n")
+        for rec in trace.steps:
+            row = [str(rec.step)] + [_fmt(c) for c in rec.point]
+            row += [_fmt(rec.value), _fmt(rec.acquisition), _fmt(rec.distance)]
+            fh.write(",".join(row) + "\n")
+
+
 @dataclass(frozen=True)
 class TraceFile:
     """Parsed trace: records plus the embedded configuration echo."""
