@@ -153,22 +153,7 @@ class TabulatedSurface:
 
     def grid_maxima(self) -> tuple[np.ndarray, np.ndarray]:
         """Lattice points whose value strictly exceeds all axis neighbors."""
-        t = self.table
-        mask = np.ones(t.shape, dtype=bool)
-        for d in range(t.ndim):
-            lo = np.roll(t, 1, axis=d)
-            hi = np.roll(t, -1, axis=d)
-            interior = np.ones(t.shape, dtype=bool)
-            sl_first = [slice(None)] * t.ndim
-            sl_last = [slice(None)] * t.ndim
-            sl_first[d] = 0
-            sl_last[d] = -1
-            interior[tuple(sl_first)] = False
-            interior[tuple(sl_last)] = False
-            mask &= np.where(interior, (t > lo) & (t > hi), False)
-        where = np.argwhere(mask)
-        pts = np.column_stack([self.axes[d][where[:, d]] for d in range(t.ndim)])
-        return pts, t[mask]
+        return _strict_local_maxima(self.table, self.axes)
 
     def write(self, path):
         """Emit the surface in the interchange CSV format (one row per grid point)."""
@@ -266,18 +251,20 @@ def grid_local_maxima(objective, bounds, resolution) -> tuple[np.ndarray, np.nda
     if total > MAX_GRID_POINTS:
         raise GridTooLarge(f"{total} grid points exceeds cap {MAX_GRID_POINTS}")
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    values = np.asarray(objective(mesh))
+    return _strict_local_maxima(np.asarray(objective(mesh)), axes)
+
+
+def _strict_local_maxima(values, axes) -> tuple[np.ndarray, np.ndarray]:
+    """Points and values of the lattice ``values`` (over ``axes``) that are
+    off every edge and strictly greater than both neighbors on every axis."""
     mask = np.ones(values.shape, dtype=bool)
     for d in range(values.ndim):
-        lo = np.roll(values, 1, axis=d)
-        hi = np.roll(values, -1, axis=d)
+        edge = [slice(None)] * values.ndim
+        edge[d] = [0, -1]
         interior = np.ones(values.shape, dtype=bool)
-        sl = [slice(None)] * values.ndim
-        sl[d] = 0
-        interior[tuple(sl)] = False
-        sl[d] = -1
-        interior[tuple(sl)] = False
-        mask &= np.where(interior, (values > lo) & (values > hi), False)
+        interior[tuple(edge)] = False
+        above = (values > np.roll(values, 1, axis=d)) & (values > np.roll(values, -1, axis=d))
+        mask &= interior & above
     where = np.argwhere(mask)
     pts = np.column_stack([axes[d][where[:, d]] for d in range(values.ndim)])
     return pts, values[mask]
