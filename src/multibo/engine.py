@@ -57,8 +57,12 @@ of the kernel they call ``fill_cross``, ``finish_dot`` and
 in ``gp`` and, of ``numerics``, only the unchecked Gaussian tail and
 density. So anything that wraps the kernel's matrix methods or the public
 ``gp`` and ``numerics`` functions sees calls from one thread. No arithmetic
-depends on the block bounds, so the results do not depend on the block size
-or the worker count.
+of the per-step sweep depends on the block bounds, so what ``append`` and
+``acquisition_values`` compute does not depend on the block size or the
+worker count. A full rebuild does depend on them: ``fit`` rebuilds the
+packed covariances in ``_CHUNK``-row blocks, and the rounding of each
+block's triangular solve depends on its row count, so the covariances after
+a fit or refit can move in the last bits when ``_CHUNK`` changes.
 """
 
 from __future__ import annotations

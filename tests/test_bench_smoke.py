@@ -4,7 +4,8 @@
 dense posterior and the method's properties; this keeps the command and
 those checks working as the program changes. ``grid3d-run`` is the one
 workload whose n = 3 closed-form gradient solve meets that reference, and
-``asktell-4d`` the one whose n = 4 batched solve does.
+``asktell-4d`` the one whose n = 4 batched solve does. The dense reference
+has tests of its own under ``bench/``, run here as well.
 """
 
 import json
@@ -28,3 +29,12 @@ def test_bench_workload_runs_and_checks_out(workload):
     assert result["correct"] is True, proc.stdout
     assert result["failed"] == 0, proc.stdout
     assert result["attempted"] > 0
+
+
+def test_bench_reference_tests_pass():
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "bench", "-q"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert " passed" in proc.stdout.strip().splitlines()[-1], proc.stdout
