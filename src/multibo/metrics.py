@@ -7,7 +7,9 @@ excluded; only step-indexed selections count.
 
 ``metric_report`` computes every figure that ``summary.json`` and
 ``report.csv`` give for a trace, from anything with ``.steps``: a
-``RunTrace`` or a ``TraceFile``.
+``RunTrace`` or a ``TraceFile``. All figures read one matrix of distances
+from the selected points to the optima, so first hits, located truths and
+per-step distances agree on what lies within the hit radius.
 """
 
 from __future__ import annotations
@@ -17,15 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoGroundTruth
-from .objectives import BenchmarkSpec, nearest_truth_distance
+from .objectives import BenchmarkSpec
 
 
 @dataclass(frozen=True)
 class MetricReport:
     """Distances per step, prefix means at checkpoints, and first-hit steps
-    (by truth index, best optimum first). A flagged step whose nearest truth
-    lies within the hit radius locates that truth; any other flagged step
-    counts as off-truth."""
+    (by truth index, best optimum first). A flagged selected step whose
+    nearest truth lies within the hit radius locates that truth; any other
+    flagged step counts as off-truth."""
 
     per_step_distances: tuple[float, ...]
     checkpoint_averages: dict[int, float]
@@ -36,54 +38,52 @@ class MetricReport:
     flags_off_truth: int
 
 
-def _bo_distances(trace, spec: BenchmarkSpec) -> list[float]:
+def _selected(trace, spec: BenchmarkSpec):
+    """The selected steps and their distances to every registered optimum,
+    one row per step."""
     if not spec.has_truth:
         raise NoGroundTruth(f"benchmark {spec.name!r} has no registered optima")
-    return [nearest_truth_distance(spec, s.point) for s in trace.steps if s.kind == "bo"]
+    steps = [s for s in trace.steps if s.kind == "bo"]
+    points = np.array([s.point for s in steps], dtype=float).reshape(-1, spec.ground_truth.shape[1])
+    return steps, np.linalg.norm(points[:, None, :] - spec.ground_truth, axis=-1)
 
 
 def average_distance(trace, spec: BenchmarkSpec, upto: int) -> float:
     """Mean nearest-truth distance over the first ``upto`` selected points."""
-    dists = _bo_distances(trace, spec)
-    if upto < 1 or upto > len(dists):
-        raise ValueError(f"upto={upto} outside executed steps 1..{len(dists)}")
-    return float(np.mean(dists[:upto]))
+    _, dist = _selected(trace, spec)
+    if upto < 1 or upto > len(dist):
+        raise ValueError(f"upto={upto} outside executed steps 1..{len(dist)}")
+    return float(np.mean(dist[:upto].min(axis=1)))
 
 
 def first_hit_steps(trace, spec: BenchmarkSpec, radius: float) -> dict[int, int | None]:
     """Earliest selected step landing within ``radius`` of each optimum."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if not spec.has_truth:
-        raise NoGroundTruth(f"benchmark {spec.name!r} has no registered optima")
-    hits: dict[int, int | None] = {i: None for i in range(spec.ground_truth.shape[0])}
-    for rec in (s for s in trace.steps if s.kind == "bo"):
-        for i, truth in enumerate(spec.ground_truth):
-            if hits[i] is None and np.linalg.norm(rec.point - truth) <= radius:
-                hits[i] = rec.step
-    return hits
+    return metric_report(trace, spec, (), radius).first_hits
 
 
 def metric_report(trace, spec: BenchmarkSpec, checkpoints, radius: float) -> MetricReport:
     """Every trace figure: distances, checkpoint averages, first hits, and
     the truths the flagged steps located."""
-    dists = _bo_distances(trace, spec)
-    checkpoint_averages = {
-        int(c): float(np.mean(dists[: int(c)])) for c in checkpoints if 1 <= c <= len(dists)
-    }
-    hits = first_hit_steps(trace, spec, radius)
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    steps, dist = _selected(trace, spec)
+    dists = dist.min(axis=1).tolist()
+    within = dist <= radius
+    hits = {i: steps[int(np.argmax(col))].step if col.any() else None
+            for i, col in enumerate(within.T)}
     located, off_truth = set(), 0
-    for s in trace.steps:
+    for s, row, close in zip(steps, dist, within):
         if s.flagged:
-            d = np.linalg.norm(spec.ground_truth - s.point, axis=1)
-            nearest = int(np.argmin(d))
-            if d[nearest] <= radius:
+            nearest = int(np.argmin(row))
+            if close[nearest]:
                 located.add(nearest)
             else:
                 off_truth += 1
     return MetricReport(
         per_step_distances=tuple(dists),
-        checkpoint_averages=checkpoint_averages,
+        checkpoint_averages={
+            int(c): float(np.mean(dists[: int(c)])) for c in checkpoints if 1 <= c <= len(dists)
+        },
         first_hits=hits,
         distinct_found=sum(1 for v in hits.values() if v is not None),
         final_average_distance=float(np.mean(dists)) if dists else None,

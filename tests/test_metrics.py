@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from multibo import traceio
 from multibo.errors import NoGroundTruth
 from multibo.metrics import average_distance, first_hit_steps, metric_report
 from multibo.objectives import BenchmarkSpec
@@ -120,3 +123,25 @@ def test_metric_report_bundle():
     assert report.checkpoint_averages == {2: pytest.approx(0.05), 4: pytest.approx(0.15)}
     assert report.first_hits == {0: 2}
     assert report.distinct_found == 1
+
+
+def test_metric_report_located_truths_and_off_truth_flags():
+    spec = make_spec([[0.0], [0.08], [5.0]])
+    trace = make_trace([[0.03], [2.5], [5.2], [0.07], [4.0]])
+    flagged = {1, 2, 3, 4}  # steps: near both 0 and 0.08, far, 0.2 from 5, near 0.08
+    trace = replace(trace, steps=tuple(replace(s, flagged=s.step in flagged) for s in trace.steps))
+    report = metric_report(trace, spec, checkpoints=(), radius=0.25)
+    assert report.located_truths == {0, 1, 2}
+    assert report.flags_off_truth == 1
+    assert report.final_average_distance == pytest.approx((0.03 + 2.42 + 0.2 + 0.01 + 1.0) / 5)
+
+
+def test_metric_report_reads_a_trace_file(tmp_path):
+    spec = make_spec([[0.0], [3.0]])
+    trace = make_trace([[0.2], [2.95], [1.4]])
+    trace = replace(trace, steps=tuple(replace(s, flagged=s.step == 2) for s in trace.steps))
+    traceio.write_trace(tmp_path / "trace.csv", trace, {})
+    from_file = metric_report(traceio.read_trace(tmp_path / "trace.csv"), spec, (1, 3), 0.1)
+    assert from_file == metric_report(trace, spec, (1, 3), 0.1)
+    assert from_file.first_hits == {0: None, 1: 2}
+    assert from_file.located_truths == {1}
