@@ -50,7 +50,8 @@ def write_trace(path, trace: RunTrace, config_echo: dict) -> None:
 
 def write_plot_data(path, trace: RunTrace, config_echo: dict) -> None:
     """``plot_data.csv``: the trace's rows without the kind and flag columns."""
-    cols = ["step"] + [f"x{i + 1}" for i in range(trace.config.dim)] + ["value", "acquisition", "distance"]
+    cols = ["step"] + [f"x{i + 1}" for i in range(trace.config.dim)]
+    cols += ["value", "acquisition", "distance"]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# config {json.dumps(config_echo, sort_keys=True)}\n")
         fh.write(",".join(cols) + "\n")
