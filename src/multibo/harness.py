@@ -1,8 +1,9 @@
 """Experiment harness and command-line entry point.
 
 Configuration files are flat ``key = value`` text: one setting per line,
-``#`` starts a comment line, blank lines are ignored. Unknown keys are
-rejected by name. Example::
+``#`` starts a comment line, blank lines are ignored. ``_KEYS`` lists
+every key with its parser and default; unknown keys, and values their
+parser rejects, fail with the key's name. Example::
 
     # Griewank, joint probability of improvement
     benchmark   = griewank
@@ -33,7 +34,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -48,17 +50,16 @@ from .optimizer import OptimizerConfig, RunTrace, min_pairwise_distance, run as 
 
 SWEEP_PARAMS = ("alpha", "length_scale", "threshold", "min_distance")
 
-_KNOWN_KEYS = {
-    "benchmark", "dimension", "tabulated_path", "bumps", "bounds",
-    "kernel", "alpha", "length_scale", "alpha_bar",
-    "acquisition", "threshold", "epsilon",
-    "budget", "grid_step", "grid_count", "random_candidates",
-    "min_distance", "n_priors", "prior_points", "prior_mean", "seed",
-    "jitter_schedule",
-    "out_dir", "emit_plot_data", "checkpoints", "hit_radius",
-}
+# kernel name -> class; a kernel's config keys are its dataclass fields
+_KERNELS = {"se": SquaredExponential, "polynomial": Polynomial}
 
-_REQUIRED_KEYS = ("benchmark", "bounds", "kernel", "acquisition", "threshold", "budget")
+
+def _kernel_keys(name) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(_KERNELS[name]))
+
+
+# config key -> ExperimentConfig field, where the two names differ
+_FIELDS = {"kernel": "kernel_name", "grid_count": "grid_counts"}
 
 
 @dataclass(frozen=True)
@@ -90,18 +91,6 @@ class ExperimentConfig:
     bumps: tuple[tuple[float, float, float], ...] | None
     jitter_schedule: tuple[float, ...] | None = None
 
-    def make_kernel(self):
-        if self.kernel_name == "se":
-            return SquaredExponential(**self.kernel_params)
-        return Polynomial(**self.kernel_params)
-
-    def make_acquisition(self, family=None) -> AcquisitionConfig:
-        return AcquisitionConfig(
-            family=family or self.acquisition,
-            threshold=self.threshold,
-            epsilon=self.epsilon,
-        )
-
     def make_benchmark(self) -> BenchmarkSpec:
         return make_benchmark(
             self.benchmark,
@@ -113,8 +102,12 @@ class ExperimentConfig:
     def make_optimizer(self, family=None, seed=None) -> OptimizerConfig:
         return OptimizerConfig(
             bounds=np.asarray(self.bounds),
-            kernel=self.make_kernel(),
-            acquisition=self.make_acquisition(family),
+            kernel=_KERNELS[self.kernel_name](**self.kernel_params),
+            acquisition=AcquisitionConfig(
+                family=family or self.acquisition,
+                threshold=self.threshold,
+                epsilon=self.epsilon,
+            ),
             budget=self.budget,
             min_distance=self.min_distance,
             grid_step=self.grid_step,
@@ -128,30 +121,12 @@ class ExperimentConfig:
         )
 
     def echo(self, **extra) -> dict:
-        base = {
-            "benchmark": self.benchmark,
-            "dimension": self.dimension,
-            "bounds": [list(b) for b in self.bounds],
-            "kernel": self.kernel_name,
-            "kernel_params": dict(self.kernel_params),
-            "acquisition": self.acquisition,
-            "threshold": self.threshold,
-            "epsilon": self.epsilon,
-            "budget": self.budget,
-            "grid_step": self.grid_step,
-            "grid_count": None if self.grid_counts is None else list(self.grid_counts),
-            "random_candidates": self.random_candidates,
-            "min_distance": self.min_distance,
-            "n_priors": self.n_priors,
-            "prior_points": None if self.prior_points is None else [list(p) for p in self.prior_points],
-            "prior_mean": self.prior_mean,
-            "seed": self.seed,
-            "checkpoints": list(self.checkpoints),
-            "hit_radius": self.hit_radius,
-            "tabulated_path": self.tabulated_path,
-            "bumps": None if self.bumps is None else [list(b) for b in self.bumps],
-            "jitter_schedule": None if self.jitter_schedule is None else list(self.jitter_schedule),
-        }
+        """The run's settings under their config keys (output settings
+        left out), updated with ``extra``."""
+        base = asdict(self)
+        del base["out_dir"], base["emit_plot_data"]
+        for key, name in _FIELDS.items():
+            base[key] = base.pop(name)
         base.update(extra)
         return base
 
@@ -161,33 +136,77 @@ def _parse_bounds(text):
     for part in text.split(","):
         lo, sep, hi = part.partition(":")
         if not sep:
-            raise ConfigError(f"bounds entry {part.strip()!r} must be low:high")
+            raise ValueError(f"entry {part.strip()!r} must be low:high")
         out.append((float(lo), float(hi)))
     return tuple(out)
 
 
 def _parse_point_list(text, width=None):
+    """``;``-separated points of space-separated coordinates, all of one
+    width (``width`` when given)."""
     pts = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
         coords = tuple(float(v) for v in chunk.split())
-        if width is not None and len(coords) != width:
-            raise ConfigError(f"point {chunk!r} must have {width} coordinates")
+        width = width or len(coords)
+        if len(coords) != width:
+            raise ValueError(f"point {chunk!r} must have {width} coordinates")
         pts.append(coords)
     if not pts:
-        raise ConfigError("empty point list")
+        raise ValueError("empty point list")
     return tuple(pts)
 
 
-def _parse_bool(text, key):
+def _parse_list(item):
+    """Parser of a comma-separated list of ``item`` values."""
+    return lambda text: tuple(item(v) for v in text.split(","))
+
+
+def _parse_bool(text):
     t = text.strip().lower()
     if t in ("true", "1", "yes"):
         return True
     if t in ("false", "0", "no"):
         return False
-    raise ConfigError(f"{key} must be true or false, got {text!r}")
+    raise ValueError(f"must be true or false, got {text!r}")
+
+
+_REQUIRED = object()
+
+# Every config key with its parser and default; _REQUIRED marks a key each
+# config sets. A kernel's keys are required with that kernel. When unset,
+# ``dimension`` is the number of bounds and ``hit_radius`` is ``grid_step``,
+# else 0.1.
+_KEYS = {
+    "benchmark": (str, _REQUIRED),
+    "dimension": (int, None),
+    "tabulated_path": (str, None),
+    "bumps": (partial(_parse_point_list, width=3), None),
+    "bounds": (_parse_bounds, _REQUIRED),
+    "kernel": (str, _REQUIRED),
+    "alpha": (float, None),
+    "length_scale": (float, None),
+    "alpha_bar": (float, None),
+    "acquisition": (str, _REQUIRED),
+    "threshold": (float, _REQUIRED),
+    "epsilon": (float, 0.1),
+    "budget": (int, _REQUIRED),
+    "grid_step": (float, None),
+    "grid_count": (_parse_list(int), None),
+    "random_candidates": (int, None),
+    "min_distance": (float, 0.0),
+    "n_priors": (int, 3),
+    "prior_points": (_parse_point_list, None),
+    "prior_mean": (float, 0.0),
+    "seed": (int, 0),
+    "jitter_schedule": (_parse_list(float), None),
+    "out_dir": (str, None),
+    "emit_plot_data": (_parse_bool, False),
+    "checkpoints": (_parse_list(int), (30, 60, 90)),
+    "hit_radius": (float, None),
+}
 
 
 def parse_config_text(text) -> ExperimentConfig:
@@ -200,109 +219,59 @@ def parse_config_text(text) -> ExperimentConfig:
         if not sep:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {stripped!r}")
         key = key.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         raw[key] = value.strip()
 
-    for key in _REQUIRED_KEYS:
-        if key not in raw:
+    values = {key: default for key, (_, default) in _KEYS.items()}
+    try:
+        for key, value in raw.items():
+            values[key] = _KEYS[key][0](value)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+    for key, value in values.items():
+        if value is _REQUIRED:
             raise ConfigError(f"missing required key {key!r}")
 
-    benchmark = raw["benchmark"]
+    benchmark = values["benchmark"]
     if benchmark not in ("griewank", "shubert", "synthetic1d", "tabulated"):
         raise ConfigError(f"benchmark must be griewank, shubert, synthetic1d or tabulated, got {benchmark!r}")
-    if benchmark == "tabulated" and "tabulated_path" not in raw:
+    if benchmark == "tabulated" and values["tabulated_path"] is None:
         raise ConfigError("missing required key 'tabulated_path' for the tabulated benchmark")
 
-    try:
-        bounds = _parse_bounds(raw["bounds"])
-    except ValueError as exc:
-        raise ConfigError(f"bounds: {exc}") from exc
-    dimension = int(raw.get("dimension", len(bounds)))
-    if dimension != len(bounds):
-        raise ConfigError(f"dimension {dimension} does not match {len(bounds)} bounds entries")
+    n_bounds = len(values["bounds"])
+    if values["dimension"] is None:
+        values["dimension"] = n_bounds
+    if values["dimension"] != n_bounds:
+        raise ConfigError(f"dimension {values['dimension']} does not match {n_bounds} bounds entries")
+    if values["hit_radius"] is None:
+        values["hit_radius"] = values["grid_step"] or 0.1
+    if values["grid_count"] is not None and len(values["grid_count"]) == 1:
+        values["grid_count"] *= n_bounds
 
-    kernel_name = raw["kernel"]
-    if kernel_name == "se":
-        if "alpha" not in raw:
-            raise ConfigError("missing required key 'alpha' for the se kernel")
-        if "length_scale" not in raw:
-            raise ConfigError("missing required key 'length_scale' for the se kernel")
-        kernel_params = {"alpha": float(raw["alpha"]), "length_scale": float(raw["length_scale"])}
-    elif kernel_name == "polynomial":
-        if "alpha_bar" not in raw:
-            raise ConfigError("missing required key 'alpha_bar' for the polynomial kernel")
-        kernel_params = {"alpha_bar": float(raw["alpha_bar"])}
-    else:
-        raise ConfigError(f"kernel must be se or polynomial, got {kernel_name!r}")
+    kernel = values["kernel"]
+    if kernel not in _KERNELS:
+        raise ConfigError(f"kernel must be se or polynomial, got {kernel!r}")
+    params = {key: values.pop(key) for name in _KERNELS for key in _kernel_keys(name)}
+    for key in _kernel_keys(kernel):
+        if params[key] is None:
+            raise ConfigError(f"missing required key {key!r} for the {kernel} kernel")
 
-    candidate_keys = [k for k in ("grid_step", "grid_count", "random_candidates") if k in raw]
-    if len(candidate_keys) != 1:
-        raise ConfigError(
-            "exactly one of grid_step, grid_count, random_candidates must be set; "
-            f"got {candidate_keys or 'none'}"
-        )
-    grid_step = float(raw["grid_step"]) if "grid_step" in raw else None
-    grid_counts = None
-    if "grid_count" in raw:
-        parts = [int(v) for v in raw["grid_count"].split(",")]
-        grid_counts = tuple(parts * len(bounds)) if len(parts) == 1 else tuple(parts)
-        if len(grid_counts) != len(bounds):
-            raise ConfigError("grid_count must give one value, or one per dimension")
-    random_candidates = int(raw["random_candidates"]) if "random_candidates" in raw else None
-
-    prior_points = None
-    if "prior_points" in raw:
-        prior_points = _parse_point_list(raw["prior_points"], width=len(bounds))
-
-    bumps = None
-    if "bumps" in raw:
-        bumps = tuple(
-            (a, c, w) for a, c, w in _parse_point_list(raw["bumps"], width=3)
-        )
-
-    try:
-        cfg = ExperimentConfig(
-            benchmark=benchmark,
-            dimension=dimension,
-            bounds=bounds,
-            kernel_name=kernel_name,
-            kernel_params=kernel_params,
-            acquisition=raw["acquisition"],
-            threshold=float(raw["threshold"]),
-            epsilon=float(raw.get("epsilon", 0.1)),
-            budget=int(raw["budget"]),
-            grid_step=grid_step,
-            grid_counts=grid_counts,
-            random_candidates=random_candidates,
-            min_distance=float(raw.get("min_distance", 0.0)),
-            n_priors=int(raw.get("n_priors", 3)),
-            prior_points=prior_points,
-            prior_mean=float(raw.get("prior_mean", 0.0)),
-            seed=int(raw.get("seed", 0)),
-            out_dir=raw.get("out_dir"),
-            emit_plot_data=_parse_bool(raw.get("emit_plot_data", "false"), "emit_plot_data"),
-            checkpoints=tuple(int(v) for v in raw.get("checkpoints", "30,60,90").split(",")),
-            hit_radius=float(raw.get("hit_radius", grid_step if grid_step else 0.1)),
-            tabulated_path=raw.get("tabulated_path"),
-            bumps=bumps,
-            jitter_schedule=(
-                tuple(float(v) for v in raw["jitter_schedule"].split(","))
-                if "jitter_schedule" in raw else None
-            ),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    cfg = ExperimentConfig(
+        kernel_params={key: params[key] for key in _kernel_keys(kernel)},
+        **{_FIELDS.get(key, key): value for key, value in values.items()},
+    )
     if not cfg.hit_radius > 0:
         raise ConfigError(f"hit_radius must be positive, got {cfg.hit_radius}")
     if min(cfg.checkpoints) < 1:
         raise ConfigError(f"checkpoints must all be at least 1, got {list(cfg.checkpoints)}")
     # validate model/optimizer settings eagerly so bad configs fail before running
-    cfg.make_kernel()
-    cfg.make_acquisition()
-    cfg.make_optimizer()
+    try:
+        cfg.make_optimizer()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return cfg
 
 
@@ -429,7 +398,7 @@ def compare_report_rows(trace_paths):
     rows = []
     for _, tf, report in _trace_reports(trace_paths):
         row = [tf.config_echo.get("acquisition")]
-        row += [report.first_hits.get(i) for i in range(3)]
+        row += report.first_hits.values()
         row += [_repr(report.checkpoint_averages.get(int(c))) for c in tf.config_echo["checkpoints"]]
         rows.append(row)
     return rows
@@ -470,11 +439,12 @@ def cmd_sweep(config_path, param, values, seed=None, out=None) -> int:
     if param not in SWEEP_PARAMS:
         raise ConfigError(f"sweep parameter must be one of {SWEEP_PARAMS}, got {param!r}")
     cfg = parse_config(config_path)
+    kernel_param = param in _kernel_keys("se")
+    if kernel_param and cfg.kernel_name != "se":
+        raise ConfigError(f"sweep over {param!r} requires the se kernel")
     runs = []
     for value in values:
-        if param in ("alpha", "length_scale"):
-            if cfg.kernel_name != "se":
-                raise ConfigError(f"sweep over {param!r} requires the se kernel")
+        if kernel_param:
             run_cfg = replace(cfg, kernel_params={**cfg.kernel_params, param: value})
         else:
             run_cfg = replace(cfg, **{param: value})
@@ -514,7 +484,7 @@ def cmd_compare(config_path, seed=None, out=None) -> int:
         raise ConfigError("compare requires ground-truth optima")
     runs = [(family, cfg, family, {"method": family})
             for family in ("joint_pi", "joint_ei", "vanilla_pi", "vanilla_ei")]
-    columns = ["method", "first_hit_max1", "first_hit_max2", "first_hit_max3"]
+    columns = ["method"] + [f"first_hit_max{i + 1}" for i in range(len(spec.ground_truth))]
     columns += [f"avg_distance_{c}" for c in cfg.checkpoints]
     return _run_all("compare", config_path, cfg, spec, runs, columns,
                     compare_report_rows, seed, out)

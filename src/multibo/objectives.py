@@ -232,8 +232,13 @@ def nearest_truth_distance(spec: BenchmarkSpec, x) -> float:
     """Euclidean distance from ``x`` to the nearest registered optimum."""
     if not spec.has_truth:
         raise NoGroundTruth(f"benchmark {spec.name!r} has no registered optima")
+    return nearest_distance(spec.ground_truth, x)
+
+
+def nearest_distance(points: np.ndarray, x) -> float:
+    """Euclidean distance from ``x`` to the nearest row of ``points``."""
     x = np.asarray(x, dtype=float).ravel()
-    return float(np.min(np.linalg.norm(spec.ground_truth - x, axis=1)))
+    return float(np.min(np.linalg.norm(points - x, axis=1)))
 
 
 def grid_local_maxima(objective, bounds, resolution) -> tuple[np.ndarray, np.ndarray]:

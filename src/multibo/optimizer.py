@@ -27,6 +27,7 @@ from .engine import _CHUNK, CandidateEvaluator
 from .errors import ConfigError, Exhausted, GridTooLarge, NonFinite
 from .gp import GPState
 from .kernels import Kernel
+from .objectives import nearest_distance
 
 MAX_CANDIDATES = 10_000_000
 
@@ -94,7 +95,7 @@ class OptimizerConfig:
                 raise ConfigError("prior_points dimension does not match bounds")
             if np.any(pts < bounds[:, 0]) or np.any(pts > bounds[:, 1]):
                 raise ConfigError("prior_points must lie within bounds")
-            if min_pairwise_distance(pts) < self.min_distance:
+            if not _spaced(pts, self.min_distance):
                 raise ConfigError("prior_points violate the minimum sampling distance")
             object.__setattr__(self, "prior_points", pts)
         elif self.n_priors < 1:
@@ -181,6 +182,12 @@ def _feasible_mask(candidates: np.ndarray, points: np.ndarray, d: float) -> np.n
     return mask
 
 
+def _spaced(points: np.ndarray, d: float) -> bool:
+    """True when the rows of ``points`` lie pairwise at least ``d`` apart,
+    by the rule of ``_feasible_mask``."""
+    return all(_feasible_mask(points[i:i + 1], points[:i], d)[0] for i in range(1, len(points)))
+
+
 def propose_next(state: GPState, candidates, history, cfg: OptimizerConfig):
     """Feasible candidate with maximal acquisition; lowest index wins ties.
 
@@ -194,7 +201,7 @@ def propose_next(state: GPState, candidates, history, cfg: OptimizerConfig):
         raise Exhausted("no candidate satisfies the minimum sampling distance")
     evaluator = CandidateEvaluator(
         state.kernel, candidates, state.prior_mean,
-        capacity=state.n_samples, jitter_schedule=cfg.jitter_schedule,
+        capacity=state.n_samples, jitter_schedule=(state.factor.jitter,),
     )
     evaluator.fit(state.inputs, state.values)
     acq = evaluator.acquisition_values(cfg.acquisition)
@@ -212,7 +219,7 @@ def _draw_priors(cfg: OptimizerConfig, rng: np.random.Generator) -> np.ndarray:
             break
         u = rng.random(cfg.dim)
         p = cfg.bounds[:, 0] + u * (cfg.bounds[:, 1] - cfg.bounds[:, 0])
-        if all(np.linalg.norm(p - q) >= cfg.min_distance for q in pts):
+        if _feasible_mask(p[None, :], np.reshape(pts, (-1, cfg.dim)), cfg.min_distance)[0]:
             pts.append(p)
     if len(pts) < cfg.n_priors:
         raise ConfigError(
@@ -241,7 +248,7 @@ def run(objective, cfg: OptimizerConfig, truths=None) -> RunTrace:
     def truth_distance(p):
         if truths is None or truths.shape[0] == 0:
             return None
-        return float(np.min(np.linalg.norm(truths - p, axis=1)))
+        return nearest_distance(truths, p)
 
     # allocated before the first objective call, so a grid too large for
     # memory fails before any evaluation is spent

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +44,8 @@ def test_parse_config_roundtrip(tmp_path):
     assert cfg.kernel_params == {"alpha": 1.0, "length_scale": 0.06}
     assert cfg.grid_counts == (120,)
     assert cfg.checkpoints == (4, 8)
+    kernel_keys = {"alpha", "length_scale", "alpha_bar"}
+    assert set(cfg.echo()) == set(harness._KEYS) - kernel_keys - {"out_dir", "emit_plot_data"} | {"kernel_params"}
 
 
 def test_parse_config_unknown_key(tmp_path):
@@ -88,6 +91,35 @@ def test_parse_config_rejects_bad_sizes(tmp_path, drop, line, key):
     with pytest.raises(ConfigError) as err:
         harness.parse_config(write_config(tmp_path, f"{text}\n{line}\n"))
     assert key in str(err.value)
+
+
+MALFORMED = [  # (line to drop, malformed line, key the error names)
+    ("alpha", "alpha = abc", "alpha"),
+    ("length_scale", "length_scale = 0.x", "length_scale"),
+    ("kernel", "kernel = polynomial\nalpha_bar = x", "alpha_bar"),
+    ("dimension", "dimension = two", "dimension"),
+    ("grid_count", "grid_step = x", "grid_step"),
+    ("grid_count", "grid_count = 5x", "grid_count"),
+    ("grid_count", "random_candidates = 1e3", "random_candidates"),
+    ("prior_points", "prior_points = 0.1; 0.x", "prior_points"),
+    ("bumps", "bumps = 1.0 0.88 0.x", "bumps"),
+]
+
+
+@pytest.mark.parametrize("drop, line, key", MALFORMED, ids=[key for *_, key in MALFORMED])
+def test_malformed_value_exits_1_naming_its_key(tmp_path, capsys, drop, line, key):
+    text = "\n".join(l for l in BASE_CONFIG.splitlines() if not l.startswith(drop))
+    out = tmp_path / "out"
+    assert harness.main(["run", str(write_config(tmp_path, f"{text}\n{line}\n")), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+    assert not out.exists()
+
+
+def test_readme_lists_exactly_the_config_keys():
+    section = (REPO / "README.md").read_text().split("## Command-line harness")[1].split("\n## ")[0]
+    keys = re.findall(r"^\| `(\w+)` \|", section, flags=re.M)
+    assert sorted(keys) == sorted(harness._KEYS)
 
 
 def test_zero_hit_radius_exits_before_running(tmp_path, capsys):
@@ -199,7 +231,7 @@ def test_cmd_compare_report_shape_and_determinism(tmp_path):
     assert harness.cmd_compare(cfgp, out=str(out2)) == 0
     header, rows, _ = traceio.read_report(out1 / "report.csv")
     assert header == ["method", "first_hit_max1", "first_hit_max2", "first_hit_max3",
-                      "avg_distance_4", "avg_distance_8"]
+                      "first_hit_max4", "avg_distance_4", "avg_distance_8"]
     assert [r[0] for r in rows] == ["joint_pi", "joint_ei", "vanilla_pi", "vanilla_ei"]
     assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
 
@@ -236,7 +268,8 @@ def test_summary_metrics_match_the_compare_report(tmp_path):
         metrics = json.loads((out / row[0] / "summary.json").read_text())["metrics"]
         cells = dict(zip(header, row))
         hits = metrics["first_hits"]
-        for i in range(3):
+        assert len(hits) == 4  # one per synthetic1d maximum
+        for i in range(4):
             step = hits.get(str(i))
             assert cells[f"first_hit_max{i + 1}"] == ("" if step is None else str(step))
         for c in (4, 8):

@@ -6,7 +6,9 @@ from multibo.engine import CandidateEvaluator
 from multibo.errors import ConfigError, Exhausted, GridTooLarge, NonFinite
 from multibo.kernels import SquaredExponential
 from multibo.objectives import SyntheticBumps, griewank
-from multibo.optimizer import OptimizerConfig, generate_candidates, propose_next, run
+from multibo.optimizer import (
+    OptimizerConfig, _feasible_mask, generate_candidates, propose_next, run,
+)
 from multibo import acquisition, gp
 
 
@@ -38,6 +40,14 @@ def test_config_validation():
         base_config(prior_points=[[2.0]])  # outside bounds
     with pytest.raises(ConfigError):
         base_config(prior_points=[[0.5], [0.5001]], min_distance=0.01)
+
+
+def test_prior_points_follow_the_candidate_distance_rule():
+    # 0.3 - 0.2 rounds below 0.1, yet the candidate mask calls it feasible
+    pts = np.array([[0.2], [0.3]])
+    assert _feasible_mask(pts[1:], pts[:1], 0.1)[0]
+    cfg = base_config(prior_points=pts, min_distance=0.1, budget=1)
+    assert np.array_equal(run(lambda x: float(x[0]), cfg).points("prior"), pts)
 
 
 def test_config_rejects_empty_candidate_sets():
@@ -112,6 +122,21 @@ def test_propose_next_plain_argmax_when_d_zero():
     point, idx, val = propose_next(state, cands, state.inputs, cfg)
     ref = [acquisition.evaluate(state, c, cfg.acquisition) for c in cands]
     assert idx == int(np.argmax(ref))
+
+
+def test_propose_next_scores_the_state_at_its_jitter():
+    cfg = base_config(min_distance=0.0)  # default schedule starts at jitter 0
+    X, y = [[0.2], [0.25], [0.8]], [1.0, 0.9, 0.4]
+    state = gp.fit(X, y, 0.0, cfg.kernel, jitter_schedule=(1e-6,))
+    cands = generate_candidates(cfg)
+    _, idx, val = propose_next(state, cands, state.inputs, cfg)
+    scores = {}
+    for jitter in (1e-6, 0.0):
+        ev = CandidateEvaluator(cfg.kernel, cands, 0.0, capacity=3, jitter_schedule=(jitter,))
+        ev.fit(X, y)
+        scores[jitter] = ev.acquisition_values(cfg.acquisition)[idx]
+    assert scores[1e-6] != scores[0.0]
+    assert val == scores[1e-6]
 
 
 def test_propose_next_tie_breaks_to_lowest_index():
