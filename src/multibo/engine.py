@@ -3,8 +3,7 @@
 The optimizer re-scores every candidate each iteration. This module keeps
 that affordable by maintaining, per candidate x:
 
-* the kernel cross columns against all samples (one new row per step,
-  stored sample-major so GEMMs see contiguous memory),
+* the kernel cross terms against all samples (one new sample per step),
 * the joint covariance S(x) = K0(x) - A(x) K^-1 A(x)^T in packed
   upper-triangle form (one contiguous row per entry).
 
@@ -16,16 +15,38 @@ downdate  S(x) -= v(x) v(x)^T  with
 
 where ``a_new(x)`` is the joint kernel column of the new sample. The
 products A(x) c and A(x) alpha (posterior mean) collapse into a single
-dense GEMM against the cached cross columns, so the per-iteration cost is
-O(N k) instead of O(N k^2).
+fused GEMM against the cross terms, so the per-iteration cost is O(N k)
+instead of O(N k^2).
+
+The cross terms take one of two forms, chosen once from the input:
+
+* a dense cache (``_DenseCross``): ``cross_rows`` rows per sample against
+  every candidate, k x N, stored sample-major so the GEMM reads contiguous
+  memory; the GEMM writes a candidate-major N x 2(1 + n) output;
+* per-axis factors (``_GridCross``), when the candidates are a tensor grid
+  with axes of lengths m_1, ..., m_n and the kernel is ``separable``: per
+  sample, the outer product of its factors over the first n - 1 axes
+  (M = N / m_n entries) and its factor over the last axis (m_n entries).
+  Each GEMM column is then one (M x k) @ (k x m_n) product written into an
+  entry-major output, and a kernel value at a candidate is the product of
+  two factor entries. On the 1,030,301-point 3-D grid that is k x 10,302
+  doubles instead of k x 1,030,301. The factors are used only where they
+  are the smaller form, so a 1-D grid keeps the dense cache.
+
+Both forms give the same posterior up to rounding: the kernel values and
+the order of the GEMM's sums differ in the last bits. The GEMM output is one
+buffer per evaluator, reused by every append and mean refresh.
 
 The engine never branches on kernel type. The kernel supplies every
 kernel-specific batched piece (see ``multibo.kernels``): how many cache rows
 it keeps per sample (``cross_rows``), whether its prior block is the same at
-every candidate (``stationary``, in which case one packed column is kept),
-the new sample's cache rows (``fill_cross``), the raw A(x) @ W GEMM
-(``joint_dot``) with its gradient fixup (``finish_dot``), and the new
-sample's joint column (``joint_column``). The engine keeps the Cholesky
+every candidate (``stationary``, in which case one packed column is kept
+and the block is computed at one candidate), the new sample's cache rows
+(``fill_cross``), the raw A(x) @ W GEMM (``joint_dot``) with its gradient
+fixup (``finish_dot``), and the new sample's joint column
+(``joint_column``); for the factored form, whether it factorises over axes
+(``separable``), a sample's per-axis factors (``axis_factors``) and the
+GEMM's weight columns (``dot_weights``). The engine keeps the Cholesky
 factor, the packed covariances, the mean, the sweep and the acquisition.
 
 If the factor update fails (duplicate or near-duplicate sample), the state
@@ -40,20 +61,25 @@ Candidate sweep
 ---------------
 Apart from the GEMMs, the per-step work is elementwise numpy over the
 candidates. At a million candidates, full-width passes spend their time
-moving temporaries through memory, so every per-step pass (the new cross
-row, the gradient fixups, the mean, the downdate, and the whole
-acquisition) runs block by block instead: the candidates are split into
-equal blocks of at most ``_CHUNK`` (20,000) rows, whose temporaries stay in
+moving temporaries through memory, so every per-step pass (the dense
+cross rows of new samples, the gradient fixups, the mean, the downdate
+with the new sample's joint column, and the whole acquisition) runs block
+by block instead: the candidates are split into equal blocks of at most
+``_CHUNK`` (20,000) rows, whose temporaries stay in
 cache, and the blocks are spread over a module-level thread pool with one
 worker per CPU the process may run on (numpy releases the GIL inside its
 loops). A single block runs in the calling thread. BLAS calls stay on the
-calling thread, full width: the fused GEMM of ``append``, the GEMM that
-refreshes a stale posterior mean, and the triangular solves of ``fit``.
-OpenBLAS threads them itself, and running them inside the workers as well
-oversubscribes the cores. Workers run numpy on slices of the caches only:
-of the kernel they call ``fill_cross``, ``finish_dot`` and
-``joint_column``, never ``eval_matrix``, ``grad_tensor`` or
-``joint_blocks_batch``. They call ``acquisition.values``, which uses nothing
+calling thread: the fused GEMM of ``append`` and the GEMM that refreshes a
+stale posterior mean (full width over a dense cache; one GEMM per output
+column over the factors, each writing a whole row of the output), and the
+triangular solves of ``fit``. OpenBLAS threads them itself, and running
+them inside the workers as well oversubscribes the cores. The new sample's
+factors are computed on the calling thread too; they are small. Workers
+run numpy on slices of the cross terms and the GEMM output only: of the
+kernel they call ``fill_cross``, ``finish_dot`` and ``joint_column``,
+never ``eval_matrix``, ``grad_tensor`` or ``joint_blocks_batch``; over the
+factors they form kernel values for their block as products of factor
+entries. They call ``acquisition.values``, which uses nothing
 in ``gp`` and, of ``numerics``, only the unchecked Gaussian tail and
 density. So anything that wraps the kernel's matrix methods or the public
 ``gp`` and ``numerics`` functions sees calls from one thread. No arithmetic
@@ -67,6 +93,7 @@ a fit or refit can move in the last bits when ``_CHUNK`` changes.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -105,11 +132,107 @@ def _forget_pool():
 os.register_at_fork(after_in_child=_forget_pool)
 
 
+class _DenseCross:
+    """Cross terms as a dense cache ``cache`` (cross_rows, capacity, N):
+    sample-major, so [:, j] holds sample j's rows against all candidates and
+    the GEMMs see contiguous memory; row 0 is the kernel value. The GEMM
+    output is candidate-major."""
+
+    def __init__(self, kernel, cands, cache, axes):
+        self.kernel, self.cands, self.cache = kernel, cands, cache
+
+    @staticmethod
+    def shape(kernel, capacity, n_cand, axes):
+        return (kernel.cross_rows, capacity, n_cand)
+
+    def buffer(self, columns):
+        return np.empty((self.cands.shape[0], columns))
+
+    def add(self, first, X, sweep):
+        def fill(rows):
+            for j, x in enumerate(X, first):
+                self.kernel.fill_cross(self.cache[:, j, rows], x, self.cands[rows])
+
+        sweep(fill)
+
+    def dot(self, X, weights, raw):
+        width = len(weights) * (1 + X.shape[1])
+        return self.kernel.joint_dot(self.cache[:, :X.shape[0]], X, weights, out=raw[:, :width])
+
+    def group(self, raw, g, width, rows):
+        return raw[rows, g * width:(g + 1) * width]
+
+    def values(self, samples, rows):
+        return self.cache[0, samples, rows]
+
+    def column(self, j, x, rows):
+        return self.kernel.joint_column(self.cache[:, j, rows], x, self.cands[rows])
+
+
+class _GridCross:
+    """Per-axis factors of a separable kernel on the tensor grid ``axes``
+    (candidates in C order, last axis fastest). Row r of ``cache``
+    (capacity, M + m) holds sample r's head, the flattened outer product of
+    its factors over the first n - 1 axes (M entries), then its tail, its
+    factor over the last axis (m entries): its kernel value at the grid
+    point with index i' over the first n - 1 axes and i over the last is
+    head[r, i'] tail[r, i]. The GEMM output is entry-major, one contiguous
+    row per raw column, which one GEMM writes as an (M, m) block."""
+
+    def __init__(self, kernel, cands, cache, axes):
+        self.kernel, self.cands, self.axes = kernel, cands, axes
+        m = len(axes[-1])
+        self.head, self.tail = cache[:, :-m], cache[:, -m:]
+
+    @staticmethod
+    def shape(kernel, capacity, n_cand, axes):
+        m = len(axes[-1])
+        return (capacity, n_cand // m + m)
+
+    def buffer(self, columns):
+        return np.empty((columns, self.cands.shape[0]))
+
+    def add(self, first, X, sweep):
+        for j, x in enumerate(X, first):
+            factors = self.kernel.axis_factors(x, self.axes)
+            head = np.ones(1)
+            for factor in factors[:-1]:
+                head = np.multiply.outer(head, factor).ravel()
+            self.head[j] = head
+            self.tail[j] = factors[-1]
+
+    def dot(self, X, weights, raw):
+        k = X.shape[0]
+        head, tail = self.head[:k].T, self.tail[:k]
+        W = self.kernel.dot_weights(X, weights)
+        for c in range(W.shape[1]):
+            np.matmul(head, W[:, c, None] * tail, out=raw[c].reshape(head.shape[0], -1))
+        return raw
+
+    def group(self, raw, g, width, rows):
+        return raw[g * width:(g + 1) * width, rows].T
+
+    def values(self, samples, rows):
+        # outer products over the grid rows the block touches, cut to the block
+        m = self.tail.shape[1]
+        lo, hi = rows.start // m, -(-rows.stop // m)
+        outer = self.head[samples, lo:hi, None] * self.tail[samples, None, :]
+        return outer.reshape(*outer.shape[:-2], -1)[..., rows.start - lo * m:rows.stop - lo * m]
+
+    def column(self, j, x, rows):
+        return self.kernel.joint_column(self.values(j, rows)[None], x, self.cands[rows])
+
+
 class CandidateEvaluator:
-    """Joint posterior statistics for a fixed candidate stack, updated per sample."""
+    """Joint posterior statistics for a fixed candidate stack, updated per sample.
+
+    ``axes``, when given, are the axes of the tensor grid the candidates
+    enumerate in C order; with a separable kernel the cross terms are then
+    kept as per-axis factors instead of a dense cache.
+    """
 
     def __init__(self, kernel, candidates, prior_mean, capacity,
-                 jitter_schedule=numerics.DEFAULT_JITTER_SCHEDULE):
+                 jitter_schedule=numerics.DEFAULT_JITTER_SCHEDULE, axes=None):
         self.kernel = kernel
         self.cands = np.ascontiguousarray(np.atleast_2d(np.asarray(candidates, dtype=float)))
         self.prior_mean = float(prior_mean)
@@ -117,9 +240,19 @@ class CandidateEvaluator:
         self.capacity = int(capacity)
         n_cand, n = self.cands.shape
         self.n = n
+        if axes is not None and (len(axes) != n or math.prod(len(a) for a in axes) != n_cand):
+            raise ValueError(f"grid axes of lengths {[len(a) for a in axes]} do not "
+                             f"enumerate {n_cand} candidates in {n} dimensions")
         # packed upper triangle of the (1+n) x (1+n) joint covariance, entry-major
         self._pairs = acquisition.packed_pairs(n)
-        need = self._bytes_needed(n_cand, n, self.capacity, kernel.cross_rows)
+        # per-axis factors where the kernel factorises and they are the
+        # smaller representation (never on a 1-D grid: 1 + N against N)
+        terms = _DenseCross
+        if axes is not None and kernel.separable and \
+                math.prod(_GridCross.shape(kernel, 1, n_cand, axes)) < n_cand:
+            terms = _GridCross
+        shape = terms.shape(kernel, self.capacity, n_cand, axes)
+        need = self._bytes_needed(n_cand, n, self.capacity, math.prod(shape))
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         if need > have:
             raise GridTooLarge(
@@ -132,37 +265,37 @@ class CandidateEvaluator:
         self._k = 0
         self._jitter = 0.0
         self._alpha = np.empty(0)
-        # cross caches are sample-major: [:, j] holds sample j's rows against
-        # all candidates, and row 0 is the kernel value
-        self._cross = np.empty((kernel.cross_rows, self.capacity, n_cand))
+        # the cross terms' arrays are the evaluator's own, like every array it keeps
+        self._cross = np.empty(shape)
+        self._terms = terms(kernel, self.cands, self._cross, axes)
+        # output of the fused GEMM, reused by every append and mean refresh
+        self._raw = self._terms.buffer(2 * (1 + n))
         self._scov = np.empty((len(self._pairs), n_cand))
-        k0_val, k0_cross, k0_hess = kernel.joint_blocks_batch(self.cands)
-        k0p = np.empty((len(self._pairs), n_cand))
+        # a stationary kernel's blocks are candidate-independent; keep one column
+        k0_val, k0_cross, k0_hess = kernel.joint_blocks_batch(
+            self.cands[:1] if kernel.stationary else self.cands)
+        self._k0p = np.empty((len(self._pairs), len(k0_val)))
         for p, (i, j) in enumerate(self._pairs):
             if i == 0 and j == 0:
-                k0p[p] = k0_val
+                self._k0p[p] = k0_val
             elif i == 0:
-                k0p[p] = k0_cross[:, j - 1]
+                self._k0p[p] = k0_cross[:, j - 1]
             else:
-                k0p[p] = k0_hess[:, i - 1, j - 1]
-        # a stationary kernel's blocks are candidate-independent; keep one column
-        if kernel.stationary:
-            self._k0p = k0p[:, :1].copy()
-        else:
-            self._k0p = k0p
+                self._k0p[p] = k0_hess[:, i - 1, j - 1]
         self._mu = np.empty((n_cand, 1 + n))
         self._mu_fresh = False
 
     @staticmethod
-    def _bytes_needed(n_cand, n, capacity, cross_caches):
-        """Bytes of the evaluator's arrays: the cross caches, the Cholesky
-        factor and samples, the packed covariances with their prior blocks,
-        the posterior mean and the sweep's full-width buffers (the fused
-        GEMM output and the acquisition values)."""
+    def _bytes_needed(n_cand, n, capacity, cross_floats):
+        """Bytes of the evaluator's arrays: the cross terms (``cross_floats``
+        doubles), the Cholesky factor, samples and weights, the packed
+        covariances with their prior blocks, the posterior mean and the
+        sweep's full-width buffers (the fused GEMM output and the acquisition
+        values)."""
         width = 1 + n
         packed = width * (width + 1) // 2
-        rows = cross_caches * capacity + 2 * packed + width + (2 * width + 1)
-        return 8 * (rows * n_cand + capacity * (capacity + n + 1))
+        rows = 2 * packed + width + (2 * width + 1)
+        return 8 * (cross_floats + rows * n_cand + capacity * (capacity + n + 2))
 
     # -- candidate sweep -----------------------------------------------------
 
@@ -194,8 +327,7 @@ class CandidateEvaluator:
         self._L[:k, :k] = factor.lower
         self._refresh_alpha()
         self._mu_fresh = False
-        for j in range(k):
-            self.kernel.fill_cross(self._cross[:, j], X[j], self.cands)
+        self._terms.add(0, X, self._sweep)
         self._rebuild_scov()
 
     def _refresh_alpha(self):
@@ -213,7 +345,7 @@ class CandidateEvaluator:
             stop = min(start + _CHUNK, n_cand)
             block = slice(start, stop)
             a = np.empty((stop - start, 1 + self.n, k))
-            a[:, 0, :] = self._cross[0, :k, block].T
+            a[:, 0, :] = self._terms.values(slice(0, k), block).T
             a[:, 1:, :] = self.kernel.grad_tensor(self.cands[block], X).transpose(0, 2, 1)
             flat = a.reshape(-1, k)
             v = solve_triangular(L, flat.T, lower=True).T.reshape(stop - start, 1 + self.n, k)
@@ -243,9 +375,8 @@ class CandidateEvaluator:
             return
         lam = np.sqrt(lam2)
         c = solve_triangular(L.T, l_row, lower=False)
-        # extend the sample set first so the fused GEMM sees the new cross row
-        self._sweep(lambda rows: self.kernel.fill_cross(
-            self._cross[:, k, rows], x_new, self.cands[rows]))
+        # extend the sample set first so the fused GEMM sees the new cross terms
+        self._terms.add(k, x_new[None, :], self._sweep)
         self._X[k] = x_new
         self._f[k] = f_new
         self._L[k, :k] = l_row
@@ -254,9 +385,7 @@ class CandidateEvaluator:
         self._refresh_alpha()
         # one fused GEMM yields both the downdate projection (old samples,
         # weight c padded with 0) and the new posterior mean (weight alpha)
-        raw = np.empty((self.cands.shape[0], 2 * (1 + self.n)))
-        self.kernel.joint_dot(self._cross[:, :k + 1], self._X[:k + 1],
-                              (np.append(c, 0.0), self._alpha), out=raw)
+        raw = self._terms.dot(self._X[:k + 1], (np.append(c, 0.0), self._alpha), self._raw)
         self._sweep(lambda rows: self._downdate(rows, raw, x_new, lam))
         self._mu_fresh = True
 
@@ -266,9 +395,9 @@ class CandidateEvaluator:
         sample ``x_new``."""
         width = 1 + self.n
         cands = self.cands[rows]
-        u = self.kernel.finish_dot(raw[rows, :width], cands)
-        mu = self.kernel.finish_dot(raw[rows, width:], cands)
-        v = self.kernel.joint_column(self._cross[:, self._k - 1, rows], x_new, cands)
+        u = self.kernel.finish_dot(self._terms.group(raw, 0, width, rows), cands)
+        mu = self.kernel.finish_dot(self._terms.group(raw, 1, width, rows), cands)
+        v = self._terms.column(self._k - 1, x_new, rows)
         for i in range(width):
             self._mu[rows, i] = mu[:, i]
             v[i] -= u[:, i]
@@ -309,11 +438,11 @@ class CandidateEvaluator:
     def posterior_mean(self) -> np.ndarray:
         """Joint posterior mean per candidate, shape (N, 1 + n)."""
         if not self._mu_fresh:
-            k = self._k
-            self.kernel.joint_dot(self._cross[:, :k], self._X[:k], (self._alpha,), out=self._mu)
+            raw = self._terms.dot(self._X[:self._k], (self._alpha,), self._raw)
 
             def finish(rows):
-                self.kernel.finish_dot(self._mu[rows], self.cands[rows])
+                self._mu[rows] = self.kernel.finish_dot(
+                    self._terms.group(raw, 0, 1 + self.n, rows), self.cands[rows])
                 self._mu[rows, 0] += self.prior_mean
 
             self._sweep(finish)

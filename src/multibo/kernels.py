@@ -30,6 +30,14 @@ are given:
 * ``joint_column``: the joint kernel column [k(y, x); dk(y, x)/dy] of one
   sample over a candidate block.
 
+A kernel with ``separable`` set is a product of one factor per axis, so on a
+tensor grid of candidates the engine keeps per-axis factors instead of the
+cache rows. It has one cache row (the kernel value), and two more methods:
+
+* ``axis_factors``: the factors of one sample over the grid's axes;
+* ``dot_weights``: the weight columns W of the raw GEMM, whose column c
+  holds sum_r W[r, c] k(y, x_r) (``joint_dot`` is one GEMM against them).
+
 Sums over dimensions run column by column, in ``np.sum``'s order: a 2-D op
 over (rows, n) views loops over n innermost, and a BLAS gemv rounds
 differently with the row count and its threads.
@@ -61,6 +69,7 @@ class SquaredExponential:
 
     cross_rows = 1      # cache row per sample: k(y, x)
     stationary = True   # K0(y) = blockdiag(alpha, alpha / l^2 I) at every y
+    separable = True    # k(y, x) = alpha prod_d exp(-(y_d - x_d)^2 / (2 l^2))
 
     def __post_init__(self):
         if not self.alpha > 0:
@@ -130,16 +139,27 @@ class SquaredExponential:
             d2 += (Y[:, d] - x[d]) ** 2
         cache[0] = self.alpha * np.exp(-d2 / (2.0 * self.length_scale**2))
 
+    def axis_factors(self, x, axes):
+        """Factors of k(y, x) on the tensor grid ``axes``, one array per axis:
+        k at the grid point (axes[0][i_0], ..., axes[n-1][i_{n-1}]) is the
+        product over d of factors[d][i_d]. ``alpha`` rides on the first."""
+        factors = [np.exp(-((a - c) ** 2) / (2.0 * self.length_scale**2)) for a, c in zip(axes, x)]
+        factors[0] *= self.alpha
+        return factors
+
+    def dot_weights(self, X, weights):
+        """Weight columns [w, w x_r] of the raw GEMM for each weight w over the
+        samples ``X`` (k, n): column 0 of a group gives sum_r w_r k(y, x_r),
+        the rest give sum_r w_r x_r k(y, x_r)."""
+        return np.column_stack([col for w in weights for col in (w, w[:, None] * X)])
+
     def joint_dot(self, cache, X, weights, out):
         """Raw GEMM columns for A(y) @ w over the candidates, one (1 + n)-column
         group of ``out`` (m, len(weights) (1 + n)) per weight; ``cache`` holds
-        the cross rows (cross_rows, k, m) of the samples ``X`` (k, n).
-
-        One GEMM over [w, w x_r] for all weights: column 0 of a group holds
-        sum_r w_r k(y, x_r), the rest hold sum_r w_r x_r k(y, x_r).
+        the cross rows (cross_rows, k, m) of the samples ``X`` (k, n). One
+        GEMM against ``dot_weights`` for all weights.
         """
-        stacked = np.column_stack([col for w in weights for col in (w, w[:, None] * X)])
-        np.matmul(cache[0].T, stacked, out=out)
+        np.matmul(cache[0].T, self.dot_weights(X, weights), out=out)
         return out
 
     def finish_dot(self, out, Y):
@@ -171,6 +191,7 @@ class Polynomial:
 
     cross_rows = 2      # cache rows per sample: k(y, x) and y . x
     stationary = False
+    separable = False
 
     def __post_init__(self):
         if not self.alpha_bar > 0:

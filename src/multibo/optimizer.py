@@ -70,8 +70,14 @@ class OptimizerConfig:
         object.__setattr__(self, "bounds", bounds)
         if self.budget < 0:
             raise ConfigError("budget must be nonnegative")
-        if self.min_distance < 0:
-            raise ConfigError("min_distance must be nonnegative")
+        if not (np.isfinite(self.min_distance) and self.min_distance >= 0):
+            raise ConfigError(f"min_distance must be finite and nonnegative, got {self.min_distance}")
+        if not np.isfinite(self.prior_mean):
+            raise ConfigError(f"prior_mean must be finite, got {self.prior_mean}")
+        jitters = np.asarray(self.jitter_schedule, dtype=float)
+        if jitters.size == 0 or not (np.all(np.isfinite(jitters)) and np.all(jitters >= 0)):
+            raise ConfigError("jitter_schedule must be a nonempty list of finite nonnegative "
+                              f"jitters, got {list(self.jitter_schedule)}")
         modes = [
             self.grid_step is not None,
             self.grid_counts is not None,
@@ -143,23 +149,30 @@ class RunTrace:
         return min_pairwise_distance(self.points())
 
 
-def generate_candidates(cfg: OptimizerConfig, seed: int | None = None) -> np.ndarray:
-    """Candidate stack: a deterministic full grid, or seeded uniform points."""
-    bounds = cfg.bounds
+def grid_axes(cfg: OptimizerConfig) -> list[np.ndarray] | None:
+    """The axes of the candidate grid, or ``None`` for random candidates."""
     if cfg.random_candidates is not None:
-        if cfg.random_candidates > MAX_CANDIDATES:
-            raise GridTooLarge(f"{cfg.random_candidates} candidates exceeds cap")
-        rng = np.random.default_rng(cfg.seed if seed is None else seed)
-        u = rng.random((cfg.random_candidates, cfg.dim))
-        return bounds[:, 0] + u * (bounds[:, 1] - bounds[:, 0])
+        return None
     if cfg.grid_step is not None:
-        counts = [int(round((hi - lo) / cfg.grid_step)) + 1 for lo, hi in bounds]
+        counts = [int(round((hi - lo) / cfg.grid_step)) + 1 for lo, hi in cfg.bounds]
     else:
         counts = list(cfg.grid_counts)
     total = int(np.prod(counts))
     if total > MAX_CANDIDATES:
         raise GridTooLarge(f"grid of {total} points exceeds cap {MAX_CANDIDATES}")
-    axes = [np.linspace(lo, hi, c) for (lo, hi), c in zip(bounds, counts)]
+    return [np.linspace(lo, hi, c) for (lo, hi), c in zip(cfg.bounds, counts)]
+
+
+def generate_candidates(cfg: OptimizerConfig, seed: int | None = None) -> np.ndarray:
+    """Candidate stack: a deterministic full grid over ``grid_axes`` in C
+    order (last axis fastest), or seeded uniform points."""
+    axes = grid_axes(cfg)
+    if axes is None:
+        if cfg.random_candidates > MAX_CANDIDATES:
+            raise GridTooLarge(f"{cfg.random_candidates} candidates exceeds cap")
+        rng = np.random.default_rng(cfg.seed if seed is None else seed)
+        u = rng.random((cfg.random_candidates, cfg.dim))
+        return cfg.bounds[:, 0] + u * (cfg.bounds[:, 1] - cfg.bounds[:, 0])
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
 
@@ -180,6 +193,25 @@ def _feasible_mask(candidates: np.ndarray, points: np.ndarray, d: float) -> np.n
         rows = slice(start, start + _CHUNK)
         mask[rows] = np.all(cdist(candidates[rows], points, "sqeuclidean") >= cut, axis=1)
     return mask
+
+
+def _exclude_near(mask: np.ndarray, candidates: np.ndarray, axes, point: np.ndarray, d: float):
+    """Clear ``mask`` where ``point`` makes a candidate infeasible, by the rule
+    of ``_feasible_mask``. For random candidates (``axes`` None) the rule runs
+    over all of them; on a grid with axes ``axes``, over the index box within
+    ``d`` of ``point`` along every axis only, through views of ``mask`` and
+    ``candidates`` shaped as the grid. That box holds every candidate the
+    rule can reject: rounding is monotone, so a candidate at least ``d`` away
+    along one axis has a computed squared distance of at least d^2, above
+    the rule's cut."""
+    shape, box = (len(candidates),), (slice(None),)
+    if axes is not None:
+        shape = tuple(len(a) for a in axes)
+        box = tuple(slice(a.searchsorted(p - d, "left"), a.searchsorted(p + d, "right"))
+                    for a, p in zip(axes, point))
+    near = mask.reshape(shape)[box]
+    inside = candidates.reshape(*shape, -1)[box].reshape(-1, candidates.shape[1])
+    near &= _feasible_mask(inside, point[None, :], d).reshape(near.shape)
 
 
 def _spaced(points: np.ndarray, d: float) -> bool:
@@ -242,6 +274,7 @@ def run(objective, cfg: OptimizerConfig, truths=None) -> RunTrace:
     prior_rng = np.random.default_rng(seeds[0])
     cand_seed = seeds[1].generate_state(1)[0]
     candidates = generate_candidates(cfg, seed=int(cand_seed))
+    axes = grid_axes(cfg)
     priors = _draw_priors(cfg, prior_rng)
     truths = None if truths is None else np.atleast_2d(np.asarray(truths, dtype=float))
 
@@ -254,7 +287,7 @@ def run(objective, cfg: OptimizerConfig, truths=None) -> RunTrace:
     # memory fails before any evaluation is spent
     evaluator = CandidateEvaluator(
         cfg.kernel, candidates, cfg.prior_mean,
-        capacity=priors.shape[0] + cfg.budget, jitter_schedule=cfg.jitter_schedule,
+        capacity=priors.shape[0] + cfg.budget, jitter_schedule=cfg.jitter_schedule, axes=axes,
     )
     acq_cfg = cfg.acquisition
     records = []
@@ -293,7 +326,7 @@ def run(objective, cfg: OptimizerConfig, truths=None) -> RunTrace:
             acquisition=float(acq[idx]), flagged=bool(flag),
             distance=truth_distance(point),
         ))
-        mask &= _feasible_mask(candidates, point[None, :], cfg.min_distance)
+        _exclude_near(mask, candidates, axes, point, cfg.min_distance)
 
     return RunTrace(
         steps=tuple(records),

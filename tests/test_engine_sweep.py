@@ -30,12 +30,13 @@ def _rebuild_in_default_blocks(evaluator):
         _rebuild_scov(evaluator)
 
 
-def _evaluate(kernel, cands, X, f, duplicate, chunk):
+def _evaluate(kernel, cands, X, f, duplicate, chunk, axes=None):
     """Fit on two samples, append the rest (and a duplicate), then read every
-    output; the evaluator's sweeps run in blocks of ``chunk`` rows."""
+    output; the evaluator's sweeps run in blocks of ``chunk`` rows. ``axes``
+    are the grid axes of the candidates, if they form one."""
     with mock.patch.object(engine, "_CHUNK", chunk), \
             mock.patch.object(CandidateEvaluator, "_rebuild_scov", _rebuild_in_default_blocks):
-        ev = CandidateEvaluator(kernel, cands, 0.25, capacity=len(X) + 1)
+        ev = CandidateEvaluator(kernel, cands, 0.25, capacity=len(X) + 1, axes=axes)
         try:
             ev.fit(X[:2], f[:2])
             for x, y in zip(X[2:], f[2:]):
@@ -61,18 +62,27 @@ def _evaluate(kernel, cands, X, f, duplicate, chunk):
     on_samples=st.integers(0, 3),
     duplicate=st.booleans(),
     chunk=st.integers(1, 7),
+    grid=st.booleans(),
 )
 def test_blocked_sweep_matches_single_block(n, polynomial, seed, n_cands, n_samples,
-                                            on_samples, duplicate, chunk):
+                                            on_samples, duplicate, chunk, grid):
     rng = np.random.default_rng(seed)
     X = rng.uniform(-1.0, 1.0, (n_samples, n))
     f = rng.standard_normal(n_samples)
-    cands = rng.uniform(-1.0, 1.0, (n_cands, n))
-    placed = min(on_samples, n_samples, n_cands)
-    cands[:placed] = X[:placed]  # candidates sitting on samples
+    axes = None
+    if grid:
+        # a tensor grid of about n_cands points, blocks cutting across its rows
+        axes = [np.sort(rng.uniform(-1.0, 1.0, c)) for c in rng.integers(1, 5, n)]
+        cands = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, n)
+        placed = min(on_samples, n_samples, len(cands))
+        X[:placed] = cands[:placed]  # samples sitting on candidates
+    else:
+        cands = rng.uniform(-1.0, 1.0, (n_cands, n))
+        placed = min(on_samples, n_samples, n_cands)
+        cands[:placed] = X[:placed]  # candidates sitting on samples
     kernel = Polynomial(1.5) if polynomial else SquaredExponential(2.0, 0.6)
-    single = _evaluate(kernel, cands, X, f, duplicate, chunk=_DEFAULT_CHUNK)
-    blocked = _evaluate(kernel, cands, X, f, duplicate, chunk=chunk)
+    single = _evaluate(kernel, cands, X, f, duplicate, _DEFAULT_CHUNK, axes)
+    blocked = _evaluate(kernel, cands, X, f, duplicate, chunk, axes)
     if not isinstance(single, dict):
         assert blocked is single
         return
@@ -82,18 +92,21 @@ def test_blocked_sweep_matches_single_block(n, polynomial, seed, n_cands, n_samp
 
 def test_sweep_with_more_workers_than_cores_matches_single_block():
     rng = np.random.default_rng(5)
-    cands = rng.uniform(-1.0, 1.0, (200, 3))
     X, f = rng.uniform(-1.0, 1.0, (8, 3)), rng.standard_normal(8)
-    want = _evaluate(SquaredExponential(2.0, 0.6), cands, X, f, False, _DEFAULT_CHUNK)
-    interval = sys.getswitchinterval()
-    with ThreadPoolExecutor(8) as pool, mock.patch.object(engine, "_pool", pool):
-        sys.setswitchinterval(1e-6)
-        try:
-            got = _evaluate(SquaredExponential(2.0, 0.6), cands, X, f, False, 3)
-        finally:
-            sys.setswitchinterval(interval)
-    for key in want:
-        np.testing.assert_array_equal(got[key], want[key], err_msg=key)
+    axes = [np.linspace(-1.0, 1.0, c) for c in (4, 5, 6)]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, 3)
+    # random candidates keep the dense cache; the grid takes per-axis factors
+    for cands, grid_axes in ((rng.uniform(-1.0, 1.0, (200, 3)), None), (grid, axes)):
+        want = _evaluate(SquaredExponential(2.0, 0.6), cands, X, f, False, _DEFAULT_CHUNK, grid_axes)
+        interval = sys.getswitchinterval()
+        with ThreadPoolExecutor(8) as pool, mock.patch.object(engine, "_pool", pool):
+            sys.setswitchinterval(1e-6)
+            try:
+                got = _evaluate(SquaredExponential(2.0, 0.6), cands, X, f, False, 3, grid_axes)
+            finally:
+                sys.setswitchinterval(interval)
+        for key in want:
+            np.testing.assert_array_equal(got[key], want[key], err_msg=key)
 
 
 def _evaluate_in_child(conn, *args):

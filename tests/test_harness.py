@@ -116,6 +116,36 @@ def test_malformed_value_exits_1_naming_its_key(tmp_path, capsys, drop, line, ke
     assert not out.exists()
 
 
+OUT_OF_RANGE = [  # (line to drop, out-of-range line, key the error names)
+    ("prior_mean", "prior_mean = inf", "prior_mean"),
+    ("prior_mean", "prior_mean = nan", "prior_mean"),
+    ("min_distance", "min_distance = nan", "min_distance"),
+    ("min_distance", "min_distance = inf", "min_distance"),
+    ("jitter_schedule", "jitter_schedule = -1", "jitter_schedule"),
+    ("jitter_schedule", "jitter_schedule = 1e-6, nan", "jitter_schedule"),
+    ("jitter_schedule", "jitter_schedule = inf", "jitter_schedule"),
+]
+
+
+@pytest.mark.parametrize("drop, line, key", OUT_OF_RANGE, ids=[l.split(" = ")[1] + "-" + k for _, l, k in OUT_OF_RANGE])
+def test_out_of_range_value_exits_1_naming_its_key(tmp_path, capsys, drop, line, key):
+    text = "\n".join(l for l in BASE_CONFIG.splitlines() if not l.startswith(drop))
+    out = tmp_path / "out"
+    assert harness.main(["run", str(write_config(tmp_path, f"{text}\n{line}\n")), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+def test_sweep_over_a_bad_min_distance_exits_1_naming_it(tmp_path, capsys, value):
+    out = tmp_path / "out"
+    argv = ["sweep", str(write_config(tmp_path)), "--param", "min_distance", "--values", value]
+    assert harness.main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "min_distance" in err
+
+
 def test_readme_lists_exactly_the_config_keys():
     section = (REPO / "README.md").read_text().split("## Command-line harness")[1].split("\n## ")[0]
     keys = re.findall(r"^\| `(\w+)` \|", section, flags=re.M)
