@@ -10,18 +10,13 @@ from .acquisition import (
     AcquisitionConfig,
     ConditionalGaussian,
     condition_value_on_gradient,
-    derivative_only,
     evaluate,
     gradient_band_probability,
-    joint_ei,
-    joint_pi,
-    vanilla_ei,
-    vanilla_pi,
 )
 from .gp import GPState, JointGaussian, fit, joint_posterior, value_posterior
 from .kernels import Polynomial, SquaredExponential
-from .metrics import MetricReport, average_distance, first_hit_steps
-from .numerics import CholeskyFactor, cholesky, normal_pdf, q_function, solve
+from .metrics import MetricReport, metric_report
+from .numerics import CholeskyFactor, cholesky, solve
 from .objectives import (
     BenchmarkSpec,
     SyntheticBumps,
@@ -30,7 +25,6 @@ from .objectives import (
     griewank,
     load_tabulated,
     make_benchmark,
-    nearest_truth_distance,
     shubert,
     synthetic_benchmark,
 )

@@ -16,10 +16,9 @@ Every formula has one implementation, vectorised over N candidates. A batch
 is a joint mean of shape (N, 1 + n) and the joint covariances in packed
 form: one row per entry of the (1+n) x (1+n) upper triangle, in the order of
 ``packed_pairs(n)``, shape ((1+n)(2+n)/2, N). The batched engine calls
-``values`` on blocks of its candidates; the scalar API (``evaluate``, the
-family functions, ``score``, ``condition_value_on_gradient`` and
-``gradient_band_probability``) packs one ``gp.JointGaussian`` and makes an
-N = 1 call.
+``values`` on blocks of its candidates; the scalar API (``evaluate``,
+``score``, ``condition_value_on_gradient`` and ``gradient_band_probability``)
+packs one ``gp.JointGaussian`` and makes an N = 1 call.
 
 Degenerate cases have one policy. A zero value std turns PI and EI into
 their limits (a step at the threshold, and max(mean - threshold, 0)); a zero
@@ -36,7 +35,7 @@ clamped into [0, S_xx]: conditioning on the gradient can only shrink it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -281,27 +280,3 @@ def evaluate(state: gp.GPState, x, cfg: AcquisitionConfig) -> float:
     """Evaluate the configured acquisition family at one point."""
     return score(gp.joint_posterior(state, x), cfg)
 
-
-def joint_pi(state: gp.GPState, x, cfg: AcquisitionConfig) -> float:
-    """Joint probability of improvement at ``x``."""
-    return evaluate(state, x, replace(cfg, family="joint_pi"))
-
-
-def joint_ei(state: gp.GPState, x, cfg: AcquisitionConfig) -> float:
-    """Joint expected improvement at ``x``."""
-    return evaluate(state, x, replace(cfg, family="joint_ei"))
-
-
-def vanilla_pi(state: gp.GPState, x, cfg: AcquisitionConfig) -> float:
-    """Probability of improvement of the unconditioned value posterior."""
-    return evaluate(state, x, replace(cfg, family="vanilla_pi"))
-
-
-def vanilla_ei(state: gp.GPState, x, cfg: AcquisitionConfig) -> float:
-    """Expected improvement of the unconditioned value posterior."""
-    return evaluate(state, x, replace(cfg, family="vanilla_ei"))
-
-
-def derivative_only(state: gp.GPState, x, cfg: AcquisitionConfig) -> float:
-    """Gradient-band probability alone (ablation family)."""
-    return evaluate(state, x, replace(cfg, family="derivative_only"))

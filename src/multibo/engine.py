@@ -80,7 +80,7 @@ kernel they call ``fill_cross``, ``finish_dot`` and ``joint_column``,
 never ``eval_matrix``, ``grad_tensor`` or ``joint_blocks_batch``; over the
 factors they form kernel values for their block as products of factor
 entries. They call ``acquisition.values``, which uses nothing
-in ``gp`` and, of ``numerics``, only the unchecked Gaussian tail and
+in ``gp`` and, of ``numerics``, only the private Gaussian tail and
 density. So anything that wraps the kernel's matrix methods or the public
 ``gp`` and ``numerics`` functions sees calls from one thread. No arithmetic
 of the per-step sweep depends on the block bounds, so what ``append`` and

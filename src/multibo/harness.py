@@ -100,25 +100,30 @@ class ExperimentConfig:
         )
 
     def make_optimizer(self, family=None, seed=None) -> OptimizerConfig:
-        return OptimizerConfig(
-            bounds=np.asarray(self.bounds),
-            kernel=_KERNELS[self.kernel_name](**self.kernel_params),
-            acquisition=AcquisitionConfig(
-                family=family or self.acquisition,
-                threshold=self.threshold,
-                epsilon=self.epsilon,
-            ),
-            budget=self.budget,
-            min_distance=self.min_distance,
-            grid_step=self.grid_step,
-            grid_counts=self.grid_counts,
-            random_candidates=self.random_candidates,
-            prior_points=None if self.prior_points is None else np.asarray(self.prior_points),
-            n_priors=self.n_priors,
-            prior_mean=self.prior_mean,
-            seed=self.seed if seed is None else int(seed),
-            **({} if self.jitter_schedule is None else {"jitter_schedule": self.jitter_schedule}),
-        )
+        """One run's optimizer settings; a value they reject raises
+        ``ConfigError``."""
+        try:
+            return OptimizerConfig(
+                bounds=np.asarray(self.bounds),
+                kernel=_KERNELS[self.kernel_name](**self.kernel_params),
+                acquisition=AcquisitionConfig(
+                    family=family or self.acquisition,
+                    threshold=self.threshold,
+                    epsilon=self.epsilon,
+                ),
+                budget=self.budget,
+                min_distance=self.min_distance,
+                grid_step=self.grid_step,
+                grid_counts=self.grid_counts,
+                random_candidates=self.random_candidates,
+                prior_points=None if self.prior_points is None else np.asarray(self.prior_points),
+                n_priors=self.n_priors,
+                prior_mean=self.prior_mean,
+                seed=self.seed if seed is None else int(seed),
+                **({} if self.jitter_schedule is None else {"jitter_schedule": self.jitter_schedule}),
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def echo(self, **extra) -> dict:
         """The run's settings under their config keys (output settings
@@ -267,11 +272,7 @@ def parse_config_text(text) -> ExperimentConfig:
         raise ConfigError(f"hit_radius must be positive, got {cfg.hit_radius}")
     if min(cfg.checkpoints) < 1:
         raise ConfigError(f"checkpoints must all be at least 1, got {list(cfg.checkpoints)}")
-    # validate model/optimizer settings eagerly so bad configs fail before running
-    try:
-        cfg.make_optimizer()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    cfg.make_optimizer()  # model and optimizer settings fail here, before any run
     return cfg
 
 
@@ -286,14 +287,13 @@ def parse_config(path) -> ExperimentConfig:
 # -- execution ----------------------------------------------------------------
 
 
-def _execute_single(cfg: ExperimentConfig, spec: BenchmarkSpec, out_dir: Path,
-                    family=None, seed=None, echo_extra=None) -> RunTrace:
+def _execute_single(cfg: ExperimentConfig, opt_cfg: OptimizerConfig, spec: BenchmarkSpec,
+                    out_dir: Path, echo_extra=None) -> RunTrace:
     out_dir.mkdir(parents=True, exist_ok=True)
-    opt_cfg = cfg.make_optimizer(family=family, seed=seed)
     truths = spec.ground_truth if spec.has_truth else None
     trace = run_loop(spec.objective, opt_cfg, truths=truths)
     echo = cfg.echo(**(echo_extra or {}))
-    echo["acquisition"] = family or cfg.acquisition
+    echo["acquisition"] = opt_cfg.acquisition.family
     echo["seed"] = opt_cfg.seed
     traceio.write_trace(out_dir / "trace.csv", trace, echo)
     summary = {
@@ -417,10 +417,12 @@ _DONE = {"sweep": "sweep", "ablate": "ablation", "compare": "comparison"}
 
 def _run_all(command, config_path, cfg, spec, runs, columns, report_rows, seed, out, **echo) -> int:
     """Execute ``runs``, each ``(subdir, config, family, echo extras)``, then
-    write ``report.csv`` rebuilt from their traces by ``report_rows``."""
+    write ``report.csv`` rebuilt from their traces by ``report_rows``. Every
+    run's settings are checked before the first run starts."""
     out_dir = _out_dir(config_path, cfg, out, command)
-    for subdir, run_cfg, family, extra in runs:
-        _execute_single(run_cfg, spec, out_dir / subdir, family=family, seed=seed, echo_extra=extra)
+    opt_cfgs = [run_cfg.make_optimizer(family, seed) for _, run_cfg, family, _ in runs]
+    for (subdir, run_cfg, _, extra), opt_cfg in zip(runs, opt_cfgs):
+        _execute_single(run_cfg, opt_cfg, spec, out_dir / subdir, echo_extra=extra)
     rows = report_rows([out_dir / subdir / "trace.csv" for subdir, *_ in runs])
     traceio.write_report(out_dir / "report.csv", columns, rows, cfg.echo(**echo), kind=command)
     print(f"{_DONE[command]} complete: {out_dir}")
@@ -430,7 +432,7 @@ def _run_all(command, config_path, cfg, spec, runs, columns, report_rows, seed, 
 def cmd_run(config_path, seed=None, out=None) -> int:
     cfg = parse_config(config_path)
     out_dir = _out_dir(config_path, cfg, out, "run")
-    _execute_single(cfg, cfg.make_benchmark(), out_dir, seed=seed)
+    _execute_single(cfg, cfg.make_optimizer(seed=seed), cfg.make_benchmark(), out_dir)
     print(f"run complete: {out_dir}")
     return 0
 
@@ -510,7 +512,10 @@ def main(argv=None) -> int:
         if args.command == "run":
             return cmd_run(args.config, seed=args.seed, out=args.out)
         if args.command == "sweep":
-            values = [float(v) for v in args.values.split(",")]
+            try:
+                values = [float(v) for v in args.values.split(",")]
+            except ValueError as exc:
+                raise ConfigError(f"--values: {exc}") from exc
             return cmd_sweep(args.config, args.param, values, seed=args.seed, out=args.out)
         if args.command == "ablate":
             return cmd_ablate(args.config, seed=args.seed, out=args.out)

@@ -48,19 +48,6 @@ def _selected(trace, spec: BenchmarkSpec):
     return steps, np.linalg.norm(points[:, None, :] - spec.ground_truth, axis=-1)
 
 
-def average_distance(trace, spec: BenchmarkSpec, upto: int) -> float:
-    """Mean nearest-truth distance over the first ``upto`` selected points."""
-    _, dist = _selected(trace, spec)
-    if upto < 1 or upto > len(dist):
-        raise ValueError(f"upto={upto} outside executed steps 1..{len(dist)}")
-    return float(np.mean(dist[:upto].min(axis=1)))
-
-
-def first_hit_steps(trace, spec: BenchmarkSpec, radius: float) -> dict[int, int | None]:
-    """Earliest selected step landing within ``radius`` of each optimum."""
-    return metric_report(trace, spec, (), radius).first_hits
-
-
 def metric_report(trace, spec: BenchmarkSpec, checkpoints, radius: float) -> MetricReport:
     """Every trace figure: distances, checkpoint averages, first hits, and
     the truths the flagged steps located."""

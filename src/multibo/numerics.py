@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import erfc
 
-from .errors import DimensionMismatch, NonFinite, NotPositiveDefinite, NotSymmetric
+from .errors import DimensionMismatch, NotPositiveDefinite, NotSymmetric
 
 # Escalating diagonal jitter tried in order until factorization succeeds.
 DEFAULT_JITTER_SCHEDULE = (0.0, 1e-10, 1e-8, 1e-6)
@@ -88,32 +88,11 @@ def solve(factor: CholeskyFactor, b) -> np.ndarray:
 
 
 def _q(z):
-    # Q(z) with no input check, for the vectorised acquisition math
+    # standard normal tail Q(z) = P(Z > z), elementwise
     return 0.5 * erfc(z * _INV_SQRT_2)
 
 
 def _phi(z):
-    # phi(z) with no input check, for the vectorised acquisition math
+    # standard normal density phi(z) = exp(-z^2/2) / sqrt(2 pi), elementwise
     return np.exp(-0.5 * z * z) * _INV_SQRT_2PI
 
-
-def q_function(z):
-    """Standard normal tail probability Q(z) = P(Z > z).
-
-    Accepts scalars or arrays; computed via the complementary error
-    function, absolute error below 1e-10 everywhere.
-    """
-    z = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(z)):
-        raise NonFinite("q_function requires finite input")
-    out = _q(z)
-    return float(out) if out.ndim == 0 else out
-
-
-def normal_pdf(z):
-    """Standard normal density phi(z) = exp(-z^2/2) / sqrt(2 pi)."""
-    z = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(z)):
-        raise NonFinite("normal_pdf requires finite input")
-    out = _phi(z)
-    return float(out) if out.ndim == 0 else out

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import GridTooLarge, NoGroundTruth, OutOfBounds, ParseError
+from .errors import GridTooLarge, OutOfBounds, ParseError
 
 MAX_GRID_POINTS = 100_000_000
 
@@ -226,13 +226,6 @@ class BenchmarkSpec:
     @property
     def has_truth(self) -> bool:
         return self.ground_truth.shape[0] > 0
-
-
-def nearest_truth_distance(spec: BenchmarkSpec, x) -> float:
-    """Euclidean distance from ``x`` to the nearest registered optimum."""
-    if not spec.has_truth:
-        raise NoGroundTruth(f"benchmark {spec.name!r} has no registered optima")
-    return nearest_distance(spec.ground_truth, x)
 
 
 def nearest_distance(points: np.ndarray, x) -> float:

@@ -70,6 +70,8 @@ class OptimizerConfig:
         object.__setattr__(self, "bounds", bounds)
         if self.budget < 0:
             raise ConfigError("budget must be nonnegative")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if not (np.isfinite(self.min_distance) and self.min_distance >= 0):
             raise ConfigError(f"min_distance must be finite and nonnegative, got {self.min_distance}")
         if not np.isfinite(self.prior_mean):

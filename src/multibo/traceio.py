@@ -127,24 +127,6 @@ def write_report(path, columns, rows, config_echo: dict, kind: str) -> None:
             fh.write(",".join("" if v is None else str(v) for v in row) + "\n")
 
 
-def read_report(path) -> tuple[list[str], list[list[str]], dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    echo = {}
-    body = []
-    for line in lines:
-        if line.startswith("# "):
-            key, _, rest = line[2:].partition(" ")
-            if key == "config":
-                echo = json.loads(rest)
-        elif line.strip():
-            body.append(line)
-    if not body:
-        raise ParseError("report has no header row", line=1)
-    header = body[0].split(",")
-    return header, [line.split(",") for line in body[1:]], echo
-
-
 def write_summary(path, summary: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

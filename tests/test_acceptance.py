@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import oracles
+from reports import read_report
 from multibo import gp, harness, metrics, numerics, traceio
 from multibo.acquisition import AcquisitionConfig, condition_value_on_gradient, score
 from multibo.kernels import Polynomial, SquaredExponential
@@ -207,8 +208,8 @@ def test_criterion_6_property_suite():
 
     # q-function symmetry and monotonicity
     z = np.linspace(-8, 8, 801)
-    q = numerics.q_function(z)
-    assert np.max(np.abs(q + numerics.q_function(-z) - 1.0)) < 1e-12
+    q = numerics._q(z)
+    assert np.max(np.abs(q + numerics._q(-z) - 1.0)) < 1e-12
     assert np.all(np.diff(q) < 0)
 
     elapsed = time.time() - t0
@@ -232,7 +233,7 @@ def test_criterion_7_sensitivity_sweeps(tmp_path):
     assert (out_a / "report.csv").exists()
     out_t = tmp_path / "sweep_threshold"
     assert harness.cmd_sweep(base, "threshold", [0.0, 40.0, 80.0], out=str(out_t)) == 0
-    header, rows, _ = traceio.read_report(out_t / "report.csv")
+    header, rows, _ = read_report(out_t / "report.csv")
     assert len(rows) == 3
     print("\nPASS criterion 7: alpha/threshold/min-distance sweeps ran end to end; "
           "d-sweep traces respect their minimum pairwise distance")

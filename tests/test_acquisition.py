@@ -8,22 +8,17 @@ from multibo import gp
 from multibo.acquisition import (
     AcquisitionConfig,
     condition_value_on_gradient,
-    derivative_only,
     evaluate,
     expected_improvement,
     gradient_band_probability,
     improvement_probability,
-    joint_ei,
-    joint_pi,
     packed_pairs,
     score,
-    vanilla_ei,
-    vanilla_pi,
 )
 from multibo.engine import CandidateEvaluator
 from multibo.errors import ConfigError
 from multibo.kernels import SquaredExponential
-from multibo.numerics import normal_pdf
+from multibo.numerics import _phi
 
 FIXTURES = Path(__file__).parent / "fixtures" / "mc_acquisition.csv"
 
@@ -77,7 +72,7 @@ def test_improvement_probability_degenerate():
 
 def test_expected_improvement_closed_form():
     # mean at the threshold with unit std: phi(0)
-    assert expected_improvement(0.0, 1.0, 0.0) == pytest.approx(normal_pdf(0.0), rel=1e-12)
+    assert expected_improvement(0.0, 1.0, 0.0) == pytest.approx(_phi(0.0), rel=1e-12)
     assert expected_improvement(3.0, 0.0, 1.0) == pytest.approx(2.0)
     assert expected_improvement(0.0, 0.0, 1.0) == 0.0
 
@@ -104,7 +99,7 @@ def test_joint_ei_at_threshold():
     cov = np.array([[1.0, 0.0], [0.0, 1.0]])
     j = gp.JointGaussian(np.array([1.0, 0.0]), cov)
     cfg = AcquisitionConfig("joint_ei", 1.0, 100.0)  # band factor ~ 1
-    assert score(j, cfg) == pytest.approx(normal_pdf(0.0), rel=1e-6)
+    assert score(j, cfg) == pytest.approx(_phi(0.0), rel=1e-6)
 
 
 def test_vanilla_pi_median_threshold():
@@ -113,14 +108,14 @@ def test_vanilla_pi_median_threshold():
     x = np.array([0.3])
     mean, _ = gp.value_posterior(state, x)
     cfg = AcquisitionConfig("vanilla_pi", mean, 0.1)
-    assert vanilla_pi(state, x, cfg) == pytest.approx(0.5, rel=1e-9)
+    assert evaluate(state, x, cfg) == pytest.approx(0.5, rel=1e-9)
 
 
 def test_vanilla_ei_deterministic_improvement():
     state = gp.fit([[0.0]], [2.0], 0.0, SquaredExponential(1.0, 1.0))
     cfg = AcquisitionConfig("vanilla_ei", 1.0, 0.1)
     # at the training point the posterior is a point mass at 2.0
-    assert vanilla_ei(state, [0.0], cfg) == pytest.approx(1.0, abs=1e-6)
+    assert evaluate(state, [0.0], cfg) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_vanilla_dominates_joint_when_value_marginal_shared():
@@ -152,7 +147,7 @@ def test_joint_pi_bounded_by_factors():
         cond = condition_value_on_gradient(j, np.zeros(2))
         band = gradient_band_probability(j, 0.2)
         pi_cond = improvement_probability(cond.mean, cond.std, 0.0)
-        val = joint_pi(state, x, cfg)
+        val = evaluate(state, x, cfg)
         assert 0.0 <= val <= 1.0
         assert val <= min(pi_cond, band) + 1e-12
 
@@ -162,8 +157,8 @@ def test_monotone_in_threshold():
     state = se_state(rng, n=1, k=5)
     x = np.array([0.1])
     thresholds = np.linspace(-2, 2, 21)
-    pi_vals = [joint_pi(state, x, AcquisitionConfig("joint_pi", t, 0.3)) for t in thresholds]
-    ei_vals = [joint_ei(state, x, AcquisitionConfig("joint_ei", t, 0.3)) for t in thresholds]
+    pi_vals = [evaluate(state, x, AcquisitionConfig("joint_pi", t, 0.3)) for t in thresholds]
+    ei_vals = [evaluate(state, x, AcquisitionConfig("joint_ei", t, 0.3)) for t in thresholds]
     assert np.all(np.diff(pi_vals) <= 1e-12)
     assert np.all(np.diff(ei_vals) <= 1e-12)
 
@@ -175,16 +170,16 @@ def test_band_limit_recovers_conditional_improvement():
     j = gp.joint_posterior(state, x)
     cond = condition_value_on_gradient(j, np.zeros(1))
     big = AcquisitionConfig("joint_pi", 0.1, 1e6)
-    assert joint_pi(state, x, big) == pytest.approx(
+    assert evaluate(state, x, big) == pytest.approx(
         improvement_probability(cond.mean, cond.std, 0.1), rel=1e-9
     )
-    assert derivative_only(state, x, AcquisitionConfig("derivative_only", 0.0, 1e6)) == pytest.approx(1.0)
+    assert evaluate(state, x, AcquisitionConfig("derivative_only", 0.0, 1e6)) == pytest.approx(1.0)
 
 
 def test_derivative_only_prior_region_zero_mean():
     state = gp.fit([[0.0]], [1.0], 0.0, SquaredExponential(1.0, 0.2))
     cfg = AcquisitionConfig("derivative_only", 0.0, 0.3)
-    far = derivative_only(state, [10.0], cfg)
+    far = evaluate(state, [10.0], cfg)
     j = gp.joint_posterior(state, [10.0])
     assert np.allclose(j.mu_y, 0.0, atol=1e-12)
     assert far == pytest.approx(gradient_band_probability(j, 0.3), rel=1e-12)
@@ -194,11 +189,21 @@ def test_evaluate_dispatch():
     rng = np.random.default_rng(5)
     state = se_state(rng)
     x = np.array([0.2])
-    for family, fn in [("joint_pi", joint_pi), ("joint_ei", joint_ei),
-                       ("vanilla_pi", vanilla_pi), ("vanilla_ei", vanilla_ei),
-                       ("derivative_only", derivative_only)]:
+    j = gp.joint_posterior(state, x)
+    cond = condition_value_on_gradient(j, np.zeros(1))
+    band = gradient_band_probability(j, 0.2)
+    std = np.sqrt(max(j.cov[0, 0], 0.0))
+    expected = {
+        "joint_pi": improvement_probability(cond.mean, cond.std, 0.1) * band,
+        "joint_ei": expected_improvement(cond.mean, cond.std, 0.1) * band,
+        "vanilla_pi": improvement_probability(j.mu_x, std, 0.1),
+        "vanilla_ei": expected_improvement(j.mu_x, std, 0.1),
+        "derivative_only": band,
+    }
+    for family, value in expected.items():
         cfg = AcquisitionConfig(family, 0.1, 0.2)
-        assert evaluate(state, x, cfg) == fn(state, x, cfg)
+        assert evaluate(state, x, cfg) == score(j, cfg)
+        assert evaluate(state, x, cfg) == pytest.approx(value, rel=1e-12)
 
 
 def test_joint_pi_matches_monte_carlo_fixtures():

@@ -7,6 +7,7 @@ import pytest
 
 from multibo import harness, traceio
 from multibo.errors import ConfigError
+from reports import read_report
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -124,6 +125,7 @@ OUT_OF_RANGE = [  # (line to drop, out-of-range line, key the error names)
     ("jitter_schedule", "jitter_schedule = -1", "jitter_schedule"),
     ("jitter_schedule", "jitter_schedule = 1e-6, nan", "jitter_schedule"),
     ("jitter_schedule", "jitter_schedule = inf", "jitter_schedule"),
+    ("seed", "seed = -4", "seed"),
 ]
 
 
@@ -137,13 +139,38 @@ def test_out_of_range_value_exits_1_naming_its_key(tmp_path, capsys, drop, line,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
-def test_sweep_over_a_bad_min_distance_exits_1_naming_it(tmp_path, capsys, value):
+# (param, --values, what the error names); no case leaves output behind, so
+# a bad value after a good one stops the sweep before the good one runs
+SWEEP_VALUES = [
+    ("min_distance", "nan", "min_distance"),
+    ("min_distance", "inf", "min_distance"),
+    ("min_distance", "-0.5", "min_distance"),
+    ("alpha", "-1", "alpha"),
+    ("alpha", "10,-1", "alpha"),
+    ("min_distance", "0.1,-1", "min_distance"),
+    ("alpha", "abc", "--values"),
+]
+
+
+@pytest.mark.parametrize("param, values, key", SWEEP_VALUES, ids=[v for _, v, _ in SWEEP_VALUES])
+def test_sweep_over_a_bad_min_distance_exits_1_naming_it(tmp_path, capsys, param, values, key):
     out = tmp_path / "out"
-    argv = ["sweep", str(write_config(tmp_path)), "--param", "min_distance", "--values", value]
+    argv = ["sweep", str(write_config(tmp_path)), "--param", param, "--values", values]
     assert harness.main(argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "config error" in err and "min_distance" in err
+    assert "config error" in err and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "alpha", "--values", "1"],
+                                     ["ablate"], ["compare"]], ids=lambda c: c[0])
+def test_negative_seed_flag_exits_1_naming_it(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    argv = [command[0], str(write_config(tmp_path)), *command[1:], "--seed", "-1"]
+    assert harness.main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "seed" in err
+    assert not out.exists()
 
 
 def test_readme_lists_exactly_the_config_keys():
@@ -207,7 +234,7 @@ def test_cmd_sweep_min_distance(tmp_path):
     out = tmp_path / "sweep"
     rc = harness.cmd_sweep(write_config(tmp_path), "min_distance", [0.02, 0.08], out=str(out))
     assert rc == 0
-    header, rows, _ = traceio.read_report(out / "report.csv")
+    header, rows, _ = read_report(out / "report.csv")
     assert header[0] == "param"
     assert len(rows) == 2
     for value in (0.02, 0.08):
@@ -244,7 +271,7 @@ def test_cmd_ablate_shares_priors(tmp_path):
     assert priors[0] == priors[1] == priors[2]
     fams = [t.config_echo["acquisition"] for t in traces]
     assert fams == ["joint_ei", "vanilla_ei", "derivative_only"]
-    header, rows, _ = traceio.read_report(out / "report.csv")
+    header, rows, _ = read_report(out / "report.csv")
     assert [r[0] for r in rows] == ["joint", "posterior_only", "derivative_only"]
 
 
@@ -259,7 +286,7 @@ def test_cmd_compare_report_shape_and_determinism(tmp_path):
     cfgp = write_config(tmp_path)
     assert harness.cmd_compare(cfgp, out=str(out1)) == 0
     assert harness.cmd_compare(cfgp, out=str(out2)) == 0
-    header, rows, _ = traceio.read_report(out1 / "report.csv")
+    header, rows, _ = read_report(out1 / "report.csv")
     assert header == ["method", "first_hit_max1", "first_hit_max2", "first_hit_max3",
                       "first_hit_max4", "avg_distance_4", "avg_distance_8"]
     assert [r[0] for r in rows] == ["joint_pi", "joint_ei", "vanilla_pi", "vanilla_ei"]
@@ -286,14 +313,14 @@ def test_reports_regenerate_from_traces(tmp_path):
         out = tmp_path / f"multi{n}"
         assert command(str(out)) == 0
         regenerated = report_rows([out / v / "trace.csv" for v in subdirs])
-        _, rows, _ = traceio.read_report(out / "report.csv")
+        _, rows, _ = read_report(out / "report.csv")
         assert [[str(v) if v is not None else "" for v in row] for row in regenerated] == rows
 
 
 def test_summary_metrics_match_the_compare_report(tmp_path):
     out = tmp_path / "cmp"
     assert harness.cmd_compare(write_config(tmp_path), out=str(out)) == 0
-    header, rows, _ = traceio.read_report(out / "report.csv")
+    header, rows, _ = read_report(out / "report.csv")
     for row in rows:
         metrics = json.loads((out / row[0] / "summary.json").read_text())["metrics"]
         cells = dict(zip(header, row))

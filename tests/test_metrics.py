@@ -5,7 +5,7 @@ import pytest
 
 from multibo import traceio
 from multibo.errors import NoGroundTruth
-from multibo.metrics import average_distance, first_hit_steps, metric_report
+from multibo.metrics import metric_report
 from multibo.objectives import BenchmarkSpec
 from multibo.optimizer import OptimizerConfig, RunTrace, StepRecord
 from multibo.acquisition import AcquisitionConfig
@@ -49,60 +49,55 @@ def make_trace(points, priors=((9.0,),)):
 def test_average_distance_all_on_truth():
     spec = make_spec([[1.0], [3.0]])
     trace = make_trace([[1.0], [3.0], [1.0]])
-    assert average_distance(trace, spec, 3) == 0.0
+    assert metric_report(trace, spec, (3,), 0.1).checkpoint_averages[3] == 0.0
 
 
 def test_average_distance_single_step():
     spec = make_spec([[0.0]])
     trace = make_trace([[0.3]])
-    assert average_distance(trace, spec, 1) == pytest.approx(0.3)
+    assert metric_report(trace, spec, (1,), 0.1).checkpoint_averages[1] == pytest.approx(0.3)
 
 
 def test_average_distance_prefix_mean():
     spec = make_spec([[0.0]])
     trace = make_trace([[0.1], [0.2], [0.3]])
-    assert average_distance(trace, spec, 3) == pytest.approx(0.2)
-    assert average_distance(trace, spec, 2) == pytest.approx(0.15)
+    averages = metric_report(trace, spec, (2, 3), 0.1).checkpoint_averages
+    assert averages[3] == pytest.approx(0.2)
+    assert averages[2] == pytest.approx(0.15)
 
 
 def test_average_distance_ignores_priors():
     spec = make_spec([[0.0]])
     trace = make_trace([[0.1]], priors=((5.0,),))
-    assert average_distance(trace, spec, 1) == pytest.approx(0.1)
+    assert metric_report(trace, spec, (1,), 0.1).checkpoint_averages[1] == pytest.approx(0.1)
 
 
 def test_average_distance_truth_order_invariant():
     ta = make_spec([[0.0], [2.0]])
     tb = make_spec([[2.0], [0.0]])
     trace = make_trace([[0.4], [1.7]])
-    assert average_distance(trace, ta, 2) == pytest.approx(average_distance(trace, tb, 2))
-
-
-def test_average_distance_bounds_checked():
-    spec = make_spec([[0.0]])
-    trace = make_trace([[0.1]])
-    with pytest.raises(ValueError):
-        average_distance(trace, spec, 2)
+    a = metric_report(trace, ta, (2,), 0.1).checkpoint_averages[2]
+    assert a == pytest.approx(metric_report(trace, tb, (2,), 0.1).checkpoint_averages[2])
 
 
 def test_first_hit_steps_basic():
     spec = make_spec([[0.0], [5.0]])
     trace = make_trace([[4.0], [0.0], [-3.0], [5.05]])
-    hits = first_hit_steps(trace, spec, radius=0.1)
+    hits = metric_report(trace, spec, (), radius=0.1).first_hits
     assert hits == {0: 2, 1: 4}
 
 
 def test_first_hit_steps_never():
     spec = make_spec([[0.0]])
     trace = make_trace([[4.0], [3.0]])
-    assert first_hit_steps(trace, spec, radius=0.5) == {0: None}
+    assert metric_report(trace, spec, (), radius=0.5).first_hits == {0: None}
 
 
 def test_first_hit_monotone_in_radius():
     spec = make_spec([[0.0]])
     trace = make_trace([[0.4], [0.05]])
-    small = first_hit_steps(trace, spec, radius=0.1)[0]
-    big = first_hit_steps(trace, spec, radius=0.5)[0]
+    small = metric_report(trace, spec, (), radius=0.1).first_hits[0]
+    big = metric_report(trace, spec, (), radius=0.5).first_hits[0]
     assert big <= small
 
 
@@ -110,9 +105,7 @@ def test_no_ground_truth():
     spec = make_spec(np.empty((0, 1)))
     trace = make_trace([[0.0]])
     with pytest.raises(NoGroundTruth):
-        average_distance(trace, spec, 1)
-    with pytest.raises(NoGroundTruth):
-        first_hit_steps(trace, spec, 0.1)
+        metric_report(trace, spec, (1,), 0.1)
 
 
 def test_metric_report_bundle():

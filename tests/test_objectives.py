@@ -1,8 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from multibo import objectives as obj
 from multibo.errors import GridTooLarge, NoGroundTruth, OutOfBounds, ParseError
+from multibo.metrics import metric_report
+from multibo.optimizer import StepRecord
 
 
 def test_griewank_values():
@@ -104,9 +108,9 @@ def test_benchmark_registry_shubert():
 
 def test_nearest_truth_distance():
     b = obj.make_benchmark("griewank", 3)
-    assert obj.nearest_truth_distance(b, b.ground_truth[0]) == 0.0
+    assert obj.nearest_distance(b.ground_truth, b.ground_truth[0]) == 0.0
     # Table 2 probe: analytic truths give ~0.245, grid-snapped ~0.224
-    d = obj.nearest_truth_distance(b, [-3.0, -0.2, 0.0])
+    d = obj.nearest_distance(b.ground_truth, [-3.0, -0.2, 0.0])
     assert d == pytest.approx(0.245, abs=2e-3)
     snapped = np.round(b.ground_truth, 1)
     d_snap = np.min(np.linalg.norm(snapped - np.array([-3.0, -0.2, 0.0]), axis=1))
@@ -117,7 +121,7 @@ def test_nearest_truth_distance_midpoint():
     b = obj.make_benchmark("synthetic1d")
     ts = np.sort(b.ground_truth.ravel())
     mid = 0.5 * (ts[0] + ts[1])
-    assert obj.nearest_truth_distance(b, [mid]) == pytest.approx((ts[1] - ts[0]) / 2, rel=1e-6)
+    assert obj.nearest_distance(b.ground_truth, [mid]) == pytest.approx((ts[1] - ts[0]) / 2, rel=1e-6)
 
 
 def test_no_ground_truth_error(tmp_path):
@@ -125,8 +129,10 @@ def test_no_ground_truth_error(tmp_path):
     path.write_text("x1,value\n0.0,1.0\n1.0,1.0\n")
     b = obj.make_benchmark("tabulated", path=str(path))
     assert not b.has_truth
+    point = StepRecord(step=1, kind="bo", point=np.array([0.5]), value=1.0,
+                       acquisition=0.5, flagged=False, distance=None)
     with pytest.raises(NoGroundTruth):
-        obj.nearest_truth_distance(b, [0.5])
+        metric_report(SimpleNamespace(steps=(point,)), b, (1,), 0.1)
 
 
 def test_truth_certificate_local_maximum():

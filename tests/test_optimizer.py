@@ -230,13 +230,13 @@ def test_run_flags_require_family_conditions():
 
 
 def test_run_distance_column_against_truths():
-    from multibo.objectives import make_benchmark, nearest_truth_distance
+    from multibo.objectives import make_benchmark, nearest_distance
 
     bench = make_benchmark("synthetic1d")
     cfg = base_config(budget=5, seed=9)
     trace = run(bench.objective, cfg, truths=bench.ground_truth)
     for s in trace.steps:
-        assert s.distance == pytest.approx(nearest_truth_distance(bench, s.point), rel=1e-12)
+        assert s.distance == pytest.approx(nearest_distance(bench.ground_truth, s.point), rel=1e-12)
 
 
 def test_flagged_points_pairwise_distance():

@@ -7,6 +7,7 @@ from multibo.errors import ParseError
 from multibo.kernels import SquaredExponential
 from multibo.objectives import SyntheticBumps, make_benchmark
 from multibo.optimizer import OptimizerConfig, run
+from reports import read_report
 
 
 def small_trace(seed=0, truths=None):
@@ -73,7 +74,7 @@ def test_report_roundtrip(tmp_path):
     columns = ["method", "first_hit_max1", "avg"]
     rows = [["joint_pi", 3, "0.125"], ["vanilla_pi", None, "0.5"]]
     traceio.write_report(path, columns, rows, {"seed": 1}, kind="compare")
-    header, data, echo = traceio.read_report(path)
+    header, data, echo = read_report(path)
     assert header == columns
     assert data == [["joint_pi", "3", "0.125"], ["vanilla_pi", "", "0.5"]]
     assert echo == {"seed": 1}
