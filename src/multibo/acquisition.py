@@ -23,14 +23,16 @@ packs one ``gp.JointGaussian`` and makes an N = 1 call.
 Degenerate cases have one policy. A zero value std turns PI and EI into
 their limits (a step at the threshold, and max(mean - threshold, 0)); a zero
 gradient std turns that dimension's band factor into the indicator
-|mu_i| < epsilon. To condition on the gradient, the diagonal of the gradient
-block S_yy is floored at 1e-12 max(1, max diag). If the floored block's
-determinant is at most 1e-12 max(1, max diag)^n in magnitude, S_yy b = r is
-replaced by the diagonal approximation b = r / diag; such candidates sit
-where the posterior has collapsed onto data, and the band factor controls
-the acquisition there. Otherwise the solve is exact: in closed form for
-n <= 3, by a batched ``np.linalg.solve`` above. The conditional variance is
-clamped into [0, S_xx]: conditioning on the gradient can only shrink it.
+|mu_i| < epsilon. To condition on the gradient, one system S_yy t = S_yx is
+solved per candidate, and t gives both the conditional mean and variance.
+The diagonal of the gradient block S_yy is floored at 1e-12 max(1, max diag).
+If the floored block's determinant is at most 1e-12 max(1, max diag)^n in
+magnitude, the solve is replaced by the diagonal approximation
+t = S_yx / diag; such candidates sit where the posterior has collapsed onto
+data, and the band factor controls the acquisition there. Otherwise the
+solve is exact: in closed form for n <= 3, by a batched ``np.linalg.solve``
+above. The conditional variance is clamped into [0, S_xx]: conditioning on
+the gradient can only shrink it.
 """
 
 from __future__ import annotations
@@ -147,29 +149,26 @@ def band_probability(mean, packed, epsilon):
 
 
 def condition_on_zero_gradient(mean, packed):
-    """Value mean and variance conditioned on a zero gradient.
+    """Value mean and variance conditioned on a zero gradient, from one
+    solve t = S_yy^-1 S_yx per candidate:
 
-    mean     = mu_x - S_xy S_yy^-1 mu_y
-    variance = S_xx - S_xy S_yy^-1 S_yx, clamped into [0, S_xx]
+    mean     = mu_x - S_xy S_yy^-1 mu_y = mu_x - t . mu_y
+    variance = S_xx - S_xy S_yy^-1 S_yx = S_xx - t . S_yx, clamped into [0, S_xx]
     """
     n = mean.shape[1] - 1
     sxx = packed[0]
-    resid = np.empty((mean.shape[0], n))
-    for d in range(n):  # column by column, as in the kernels' finish_dot
-        np.negative(mean[:, 1 + d], out=resid[:, d])
-    beta_r, beta_s = _solve_gradient_block(packed, resid)
+    t = _solve_gradient_block(packed, n)
     gain = np.zeros_like(sxx)
     shrink = np.zeros_like(sxx)
     for d in range(n):
-        gain += packed[1 + d] * beta_r[:, d]
-        shrink += packed[1 + d] * beta_s[:, d]
-    return mean[:, 0] + gain, np.clip(sxx - shrink, 0.0, np.maximum(sxx, 0.0))
+        gain += t[:, d] * mean[:, 1 + d]
+        shrink += packed[1 + d] * t[:, d]
+    return mean[:, 0] - gain, np.clip(sxx - shrink, 0.0, np.maximum(sxx, 0.0))
 
 
-def _solve_gradient_block(packed, resid):
-    """S_yy b = rhs for rhs in {resid, S_yx}, under the module's degenerate-case
-    policy; returns the two solutions, each (N, n)."""
-    N, n = resid.shape
+def _solve_gradient_block(packed, n):
+    """t = S_yy^-1 S_yx under the module's degenerate-case policy, (N, n)."""
+    N = packed.shape[1]
     pos = _position(n)
 
     def syy(i, j):
@@ -182,21 +181,17 @@ def _solve_gradient_block(packed, resid):
     floor = 1e-12 * np.maximum(scale, 1.0)
     dsafe = [np.maximum(d[i], floor) for i in range(n)]
     tiny = 1e-12 * np.maximum(scale, 1.0) ** n
-    sxy = [packed[1 + i] for i in range(n)]
+    sxy = packed[1:1 + n]
     if n > 3:
         block = np.empty((N, n, n))
-        rhs = np.empty((N, n, 2))
         for i in range(n):
             block[:, i, i] = dsafe[i]
             for j in range(i + 1, n):
                 block[:, i, j] = block[:, j, i] = syy(i, j)
-            rhs[:, i, 0] = resid[:, i]
-            rhs[:, i, 1] = sxy[i]
         ok = np.abs(np.linalg.det(block)) > tiny
         block[~ok] = np.eye(n)  # an invertible stand-in, its solution unused
-        sol = np.where(ok[:, None, None], np.linalg.solve(block, rhs),
-                       rhs / np.stack(dsafe, axis=1)[:, :, None])
-        return sol[:, :, 0], sol[:, :, 1]
+        exact = np.linalg.solve(block, sxy.T[:, :, None])[:, :, 0]
+        return np.where(ok[:, None], exact, (sxy / np.stack(dsafe)).T)
     # closed form: the adjugate over the determinant
     cof = _cofactors(dsafe, syy)
     det = dsafe[0] * cof[0][0]
@@ -204,15 +199,13 @@ def _solve_gradient_block(packed, resid):
         det = det + syy(0, j) * cof[0][j]
     ok = np.abs(det) > tiny
     det_safe = np.where(ok, det, 1.0)
-    beta_r = np.empty((N, n))
-    beta_s = np.empty((N, n))
-    for rhs, beta in ((resid, beta_r), (np.column_stack(sxy), beta_s)):
-        for i in range(n):
-            exact = cof[i][0] * rhs[:, 0]
-            for j in range(1, n):
-                exact = exact + cof[i][j] * rhs[:, j]
-            beta[:, i] = np.where(ok, exact / det_safe, rhs[:, i] / dsafe[i])
-    return beta_r, beta_s
+    t = np.empty((N, n))
+    for i in range(n):
+        exact = cof[i][0] * sxy[0]
+        for j in range(1, n):
+            exact = exact + cof[i][j] * sxy[j]
+        t[:, i] = np.where(ok, exact / det_safe, sxy[i] / dsafe[i])
+    return t
 
 
 def _cofactors(d, syy):

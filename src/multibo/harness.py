@@ -45,10 +45,13 @@ from . import traceio
 from .acquisition import AcquisitionConfig
 from .errors import ConfigError, MultiboError
 from .kernels import Polynomial, SquaredExponential
-from .objectives import BenchmarkSpec, make_benchmark
+from .objectives import BenchmarkSpec, load_tabulated, make_benchmark
 from .optimizer import OptimizerConfig, RunTrace, min_pairwise_distance, run as run_loop
 
 SWEEP_PARAMS = ("alpha", "length_scale", "threshold", "min_distance")
+
+# benchmark name -> its input dimension; None where the config or table sets it
+_BENCHMARK_DIMENSIONS = {"griewank": None, "shubert": 2, "synthetic1d": 1, "tabulated": None}
 
 # kernel name -> class; a kernel's config keys are its dataclass fields
 _KERNELS = {"se": SquaredExponential, "polynomial": Polynomial}
@@ -241,7 +244,7 @@ def parse_config_text(text) -> ExperimentConfig:
             raise ConfigError(f"missing required key {key!r}")
 
     benchmark = values["benchmark"]
-    if benchmark not in ("griewank", "shubert", "synthetic1d", "tabulated"):
+    if benchmark not in _BENCHMARK_DIMENSIONS:
         raise ConfigError(f"benchmark must be griewank, shubert, synthetic1d or tabulated, got {benchmark!r}")
     if benchmark == "tabulated" and values["tabulated_path"] is None:
         raise ConfigError("missing required key 'tabulated_path' for the tabulated benchmark")
@@ -251,6 +254,14 @@ def parse_config_text(text) -> ExperimentConfig:
         values["dimension"] = n_bounds
     if values["dimension"] != n_bounds:
         raise ConfigError(f"dimension {values['dimension']} does not match {n_bounds} bounds entries")
+    want = _BENCHMARK_DIMENSIONS[benchmark]
+    if benchmark == "tabulated":
+        axes = load_tabulated(values["tabulated_path"]).bounds
+        want = len(axes)
+        if any(lo < a or hi > b for (lo, hi), (a, b) in zip(values["bounds"], axes)):
+            raise ConfigError(f"bounds must lie inside the table's axes {axes.tolist()}")
+    if want is not None and values["dimension"] != want:
+        raise ConfigError(f"dimension {values['dimension']}: {benchmark} is {want}-dimensional")
     if values["hit_radius"] is None:
         values["hit_radius"] = values["grid_step"] or 0.1
     if values["grid_count"] is not None and len(values["grid_count"]) == 1:
@@ -451,6 +462,9 @@ def cmd_sweep(config_path, param, values, seed=None, out=None) -> int:
         else:
             run_cfg = replace(cfg, **{param: value})
         runs.append((f"{param}={value:g}", run_cfg, None, {"sweep_param": param, "sweep_value": value}))
+    subdirs = [subdir for subdir, *_ in runs]
+    if len(set(subdirs)) < len(subdirs):
+        raise ConfigError(f"--values: two values share a run directory in {subdirs}")
     columns = ["param", "value", "run_dir", "steps", "n_flagged",
                "distinct_truths", "min_pairwise_distance", "avg_distance_final"]
     return _run_all("sweep", config_path, cfg, cfg.make_benchmark(), runs, columns,

@@ -12,7 +12,7 @@ register them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -220,8 +220,6 @@ class BenchmarkSpec:
     objective: object
     ground_truth: np.ndarray
     truth_values: np.ndarray
-    orientation: str = "maximize"
-    extras: dict = field(default_factory=dict)
 
     @property
     def has_truth(self) -> bool:
@@ -294,7 +292,7 @@ def _certify_maxima(objective, points, bounds, offset=CERTIFICATE_OFFSET):
                     )
 
 
-def _spec(name, dimension, bounds, objective, truths, extras=None) -> BenchmarkSpec:
+def _spec(name, dimension, bounds, objective, truths) -> BenchmarkSpec:
     bounds = np.asarray(bounds, dtype=float)
     truths = np.atleast_2d(np.asarray(truths, dtype=float)) if len(truths) else np.empty((0, dimension))
     values = np.asarray([float(objective(t)) for t in truths])
@@ -308,7 +306,6 @@ def _spec(name, dimension, bounds, objective, truths, extras=None) -> BenchmarkS
         objective=objective,
         ground_truth=truths,
         truth_values=values,
-        extras=extras or {},
     )
 
 
@@ -345,20 +342,13 @@ def _synthetic_benchmark(bumps) -> BenchmarkSpec:
     fn = SyntheticBumps() if bumps is None else SyntheticBumps(bumps)
     maxima = fn.local_maxima()
     truths = [np.array([m]) for m in maxima]
-    return _spec("synthetic1d", 1, [(0.0, 1.0)], fn, truths, extras={"bumps": fn.bumps})
+    return _spec("synthetic1d", 1, [(0.0, 1.0)], fn, truths)
 
 
 def tabulated_benchmark(path) -> BenchmarkSpec:
     surface = load_tabulated(path)
     pts, _ = surface.grid_maxima()
-    return _spec(
-        "tabulated",
-        surface.dim,
-        surface.bounds,
-        surface,
-        pts,
-        extras={"path": str(path), "axis_names": surface.axis_names},
-    )
+    return _spec("tabulated", surface.dim, surface.bounds, surface, pts)
 
 
 def make_benchmark(name: str, dimension: int | None = None, bumps=None, path=None) -> BenchmarkSpec:

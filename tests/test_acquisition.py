@@ -4,14 +4,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from multibo import gp
 from multibo.acquisition import (
     AcquisitionConfig,
+    condition_on_zero_gradient,
     condition_value_on_gradient,
     evaluate,
     expected_improvement,
     gradient_band_probability,
     improvement_probability,
+    pack,
     packed_pairs,
     score,
 )
@@ -240,6 +243,7 @@ def _joint(sxy, mu_y, syy):
 # exactly singular gradient blocks: their entries are binary fractions, so
 # elimination cancels exactly and the determinant is 0
 SINGULAR_BLOCKS = [
+    _joint([0.0], [0.2], [[0.0]]),
     _joint([0.5, 0.5], [0.2, 0.2], [[1.0, 1.0], [1.0, 1.0]]),
     _joint([0.2, 0.2, -0.3], [0.1, 0.1, 0.4],
            [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 4.0]]),
@@ -251,8 +255,9 @@ SINGULAR_BLOCKS = [
 
 def diagonal_fallback(mean, cov, cfg):
     """Conditional value mean and variance, and joint EI, with S_yy^-1
-    replaced by the inverse of its diagonal; by hand, one candidate."""
+    replaced by the inverse of its floored diagonal; by hand, one candidate."""
     d = np.diag(cov)[1:]
+    d = np.maximum(d, 1e-12 * max(1.0, d.max()))
     sxy = cov[0, 1:]
     cond_mean = mean[0] - float(np.sum(sxy * mean[1:] / d))
     cond_var = min(max(cov[0, 0] - float(np.sum(sxy * sxy / d)), 0.0), cov[0, 0])
@@ -271,6 +276,7 @@ def diagonal_fallback(mean, cov, cfg):
 
 def test_singular_gradient_blocks_take_the_diagonal_fallback():
     cfg = AcquisitionConfig("joint_ei", 0.1, 0.5)
+    rng = np.random.default_rng(40)
     for mean, cov in SINGULAR_BLOCKS:
         n = len(mean) - 1
         assert np.linalg.det(cov[1:, 1:]) == 0.0
@@ -286,3 +292,19 @@ def test_singular_gradient_blocks_take_the_diagonal_fallback():
         ev.posterior_mean()[0] = mean
         ev._scov[:, 0] = [cov[p] for p in packed_pairs(n)]
         assert ev.acquisition_values(cfg)[0] == pytest.approx(want, rel=1e-12)
+        # one batch with full-rank blocks on both sides: every candidate gets
+        # its single-candidate bits, the full-rank ones the dense-inverse result
+        batch = []
+        for _ in range(6):
+            a = rng.standard_normal((1 + n, 1 + n))
+            batch.append(gp.JointGaussian(rng.standard_normal(1 + n), a @ a.T + 0.3 * np.eye(1 + n)))
+        batch.insert(3, j)
+        got_mean, got_var = condition_on_zero_gradient(
+            np.array([b.mean for b in batch]), np.hstack([pack(b.cov) for b in batch]))
+        for i, b in enumerate(batch):
+            one = condition_value_on_gradient(b, np.zeros(n))
+            assert (got_mean[i], got_var[i]) == (one.mean, one.variance)
+            if b is not j:
+                ref_mean, ref_var = oracles.conditional_oracle(b, np.zeros(n))
+                assert one.mean == pytest.approx(ref_mean, abs=1e-10 * max(1, abs(ref_mean)))
+                assert one.variance == pytest.approx(ref_var, abs=1e-10 * max(1, abs(ref_var)))

@@ -117,7 +117,9 @@ def test_malformed_value_exits_1_naming_its_key(tmp_path, capsys, drop, line, ke
     assert not out.exists()
 
 
-OUT_OF_RANGE = [  # (line to drop, out-of-range line, key the error names)
+TABULATED = f"benchmark = tabulated\ntabulated_path = {REPO / 'src/multibo/data/sample_accuracy_surface.csv'}"
+
+OUT_OF_RANGE = [  # (prefixes of the lines to drop, out-of-range lines, key the error names)
     ("prior_mean", "prior_mean = inf", "prior_mean"),
     ("prior_mean", "prior_mean = nan", "prior_mean"),
     ("min_distance", "min_distance = nan", "min_distance"),
@@ -126,10 +128,16 @@ OUT_OF_RANGE = [  # (line to drop, out-of-range line, key the error names)
     ("jitter_schedule", "jitter_schedule = 1e-6, nan", "jitter_schedule"),
     ("jitter_schedule", "jitter_schedule = inf", "jitter_schedule"),
     ("seed", "seed = -4", "seed"),
+    # benchmarks of a fixed dimension, and a table's axes
+    ("bounds", "bounds = 0:1, 0:1", "dimension"),
+    (("benchmark", "bounds"), "benchmark = shubert\nbounds = -2:0, -2:0, -2:0", "dimension"),
+    (("benchmark", "bounds"), f"{TABULATED}\nbounds = 5:35, 0:50, 0:1", "dimension"),
+    (("benchmark", "bounds"), f"{TABULATED}\nbounds = 0:35, 0:50", "bounds"),
 ]
 
 
-@pytest.mark.parametrize("drop, line, key", OUT_OF_RANGE, ids=[l.split(" = ")[1] + "-" + k for _, l, k in OUT_OF_RANGE])
+@pytest.mark.parametrize("drop, line, key", OUT_OF_RANGE,
+                         ids=[l.splitlines()[0].split(" = ")[1] + "-" + k for _, l, k in OUT_OF_RANGE])
 def test_out_of_range_value_exits_1_naming_its_key(tmp_path, capsys, drop, line, key):
     text = "\n".join(l for l in BASE_CONFIG.splitlines() if not l.startswith(drop))
     out = tmp_path / "out"
@@ -149,6 +157,8 @@ SWEEP_VALUES = [
     ("alpha", "10,-1", "alpha"),
     ("min_distance", "0.1,-1", "min_distance"),
     ("alpha", "abc", "--values"),
+    ("alpha", "10,10", "--values"),
+    ("alpha", "10,10.0000001", "--values"),  # both name the directory alpha=10
 ]
 
 
