@@ -31,8 +31,9 @@ magnitude, the solve is replaced by the diagonal approximation
 t = S_yx / diag; such candidates sit where the posterior has collapsed onto
 data, and the band factor controls the acquisition there. Otherwise the
 solve is exact: in closed form for n <= 3, by a batched ``np.linalg.solve``
-above. The conditional variance is clamped into [0, S_xx]: conditioning on
-the gradient can only shrink it.
+above. The determinant of the test is in closed form for n <= 4 and from
+``np.linalg.det`` above. The conditional variance is clamped into [0, S_xx]:
+conditioning on the gradient can only shrink it.
 """
 
 from __future__ import annotations
@@ -188,7 +189,7 @@ def _solve_gradient_block(packed, n):
             block[:, i, i] = dsafe[i]
             for j in range(i + 1, n):
                 block[:, i, j] = block[:, j, i] = syy(i, j)
-        ok = np.abs(np.linalg.det(block)) > tiny
+        ok = np.abs(_det4(dsafe, syy) if n == 4 else np.linalg.det(block)) > tiny
         block[~ok] = np.eye(n)  # an invertible stand-in, its solution unused
         exact = np.linalg.solve(block, sxy.T[:, :, None])[:, :, 0]
         return np.where(ok[:, None], exact, (sxy / np.stack(dsafe)).T)
@@ -206,6 +207,20 @@ def _solve_gradient_block(packed, n):
             exact = exact + cof[i][j] * sxy[j]
         t[:, i] = np.where(ok, exact / det_safe, sxy[i] / dsafe[i])
     return t
+
+
+def _det4(d, syy):
+    """Determinant of the symmetric 4 x 4 gradient block with diagonal ``d``
+    and off-diagonal entries ``syy(i, j)``, by Laplace expansion along the
+    first two rows: signed products of complementary 2 x 2 minors."""
+    a = [[d[i] if i == j else syy(min(i, j), max(i, j)) for j in range(4)] for i in range(4)]
+
+    def minor(r, j, k):
+        return a[r][j] * a[r + 1][k] - a[r][k] * a[r + 1][j]
+
+    return (minor(0, 0, 1) * minor(2, 2, 3) - minor(0, 0, 2) * minor(2, 1, 3)
+            + minor(0, 0, 3) * minor(2, 1, 2) + minor(0, 1, 2) * minor(2, 0, 3)
+            - minor(0, 1, 3) * minor(2, 0, 2) + minor(0, 2, 3) * minor(2, 0, 1))
 
 
 def _cofactors(d, syy):

@@ -53,6 +53,12 @@ If the factor update fails (duplicate or near-duplicate sample), the state
 is refit from scratch through the jitter schedule and the cached
 covariances are rebuilt exactly.
 
+The arrays that grow with the sample count (the samples, the Cholesky
+factor and the cross terms) hold ``capacity`` samples. An append beyond it
+doubles the capacity: those arrays are reallocated at twice the size, after
+the same physical-memory check as at construction, and their filled rows
+are copied over. Nothing is refit, and the per-candidate arrays are kept.
+
 The acquisition is scored by ``multibo.acquisition.values`` directly on
 blocks of the packed covariances and the mean; the scalar API makes the
 same call with one candidate.
@@ -138,6 +144,8 @@ class _DenseCross:
     the GEMMs see contiguous memory; row 0 is the kernel value. The GEMM
     output is candidate-major."""
 
+    sample_axis = 1     # the axis of ``cache`` that indexes samples
+
     def __init__(self, kernel, cands, cache, axes):
         self.kernel, self.cands, self.cache = kernel, cands, cache
 
@@ -178,6 +186,8 @@ class _GridCross:
     point with index i' over the first n - 1 axes and i over the last is
     head[r, i'] tail[r, i]. The GEMM output is entry-major, one contiguous
     row per raw column, which one GEMM writes as an (M, m) block."""
+
+    sample_axis = 0
 
     def __init__(self, kernel, cands, cache, axes):
         self.kernel, self.cands, self.axes = kernel, cands, axes
@@ -251,14 +261,8 @@ class CandidateEvaluator:
         if axes is not None and kernel.separable and \
                 math.prod(_GridCross.shape(kernel, 1, n_cand, axes)) < n_cand:
             terms = _GridCross
-        shape = terms.shape(kernel, self.capacity, n_cand, axes)
-        need = self._bytes_needed(n_cand, n, self.capacity, math.prod(shape))
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if need > have:
-            raise GridTooLarge(
-                f"{n_cand} candidates at capacity {self.capacity} need about {need} bytes; "
-                f"this machine has {have} bytes of physical memory"
-            )
+        self._terms_type, self._axes = terms, axes
+        shape = self._cross_shape(self.capacity)
         self._X = np.empty((self.capacity, n))
         self._f = np.empty(self.capacity)
         self._L = np.zeros((self.capacity, self.capacity))
@@ -284,6 +288,36 @@ class CandidateEvaluator:
                 self._k0p[p] = k0_hess[:, i - 1, j - 1]
         self._mu = np.empty((n_cand, 1 + n))
         self._mu_fresh = False
+
+    def _cross_shape(self, capacity):
+        """Shape of the cross terms at ``capacity`` samples; raises
+        ``GridTooLarge``, before anything is allocated, when the evaluator's
+        arrays at that capacity would not fit in physical memory."""
+        n_cand = self.cands.shape[0]
+        shape = self._terms_type.shape(self.kernel, capacity, n_cand, self._axes)
+        need = self._bytes_needed(n_cand, self.n, capacity, math.prod(shape))
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if need > have:
+            raise GridTooLarge(
+                f"{n_cand} candidates at capacity {capacity} need about {need} bytes; "
+                f"this machine has {have} bytes of physical memory"
+            )
+        return shape
+
+    def _grow(self, capacity):
+        """Reallocate the sample arrays and the cross terms for ``capacity``
+        samples and copy the filled rows over: the posterior is unchanged and
+        nothing is recomputed."""
+        shape = self._cross_shape(capacity)
+        k = self._k
+        X, f, L = np.empty((capacity, self.n)), np.empty(capacity), np.zeros((capacity, capacity))
+        X[:k], f[:k], L[:k, :k] = self._X[:k], self._f[:k], self._L[:k, :k]
+        cross = np.empty(shape)
+        filled = (slice(None),) * self._terms_type.sample_axis + (slice(0, k),)
+        cross[filled] = self._cross[filled]
+        self._X, self._f, self._L, self._cross = X, f, L, cross
+        self._terms = self._terms_type(self.kernel, self.cands, cross, self._axes)
+        self.capacity = capacity
 
     @staticmethod
     def _bytes_needed(n_cand, n, capacity, cross_floats):
@@ -357,11 +391,11 @@ class CandidateEvaluator:
         """Add one observation; falls back to a full refit when the factor degrades."""
         x_new = np.asarray(x_new, dtype=float).ravel()
         k = self._k
+        if k + 1 > self.capacity:
+            self._grow(max(1, 2 * self.capacity))
         if k == 0:
             self.fit(x_new[None, :], [f_new])
             return
-        if k + 1 > self.capacity:
-            raise ValueError("evaluator capacity exhausted")
         k_vec = self.kernel.eval_matrix(x_new[None, :], self._X[:k])[0]
         k_self = self.kernel.eval(x_new, x_new)
         L = self._L[:k, :k]

@@ -5,7 +5,8 @@ acquisition, observes the objective at the argmax (ties resolve to the
 lowest candidate index), refits the posterior, and decides whether the new
 observation "locates" an optimum. Candidates closer than ``min_distance``
 to any already-sampled point are never proposed; when none remain the run
-terminates early rather than relaxing the constraint.
+terminates early rather than relaxing the constraint. ``run`` and
+``propose_next`` share one select step, ``Session.ask``.
 
 A step is flagged as a located optimum when the conditions its acquisition
 family actually reasons about hold at the sampled point: families using the
@@ -16,6 +17,7 @@ gradient norm to fall within the band half-width.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,26 +224,109 @@ def _spaced(points: np.ndarray, d: float) -> bool:
     return all(_feasible_mask(points[i:i + 1], points[:i], d)[0] for i in range(1, len(points)))
 
 
+class Session:
+    """Ask/tell over a fixed candidate stack: one ``CandidateEvaluator``, the
+    feasibility mask and the select step.
+
+    ``fit`` conditions the posterior on samples and starts the mask from the
+    history points; ``ask`` scores every candidate and returns the index and
+    acquisition of the feasible maximum (ties to the lowest index), or raises
+    ``Exhausted``; ``tell`` adds one observation through the evaluator's
+    rank-1 update, growing its capacity when it is full, and clears the mask
+    near the new point. The session keeps ``candidates`` itself, not a copy.
+    """
+
+    def __init__(self, kernel, candidates, prior_mean, min_distance, capacity,
+                 jitter_schedule, axes=None):
+        self.candidates = candidates
+        self.min_distance = min_distance
+        self.axes = axes
+        self.evaluator = CandidateEvaluator(kernel, candidates, prior_mean, capacity=capacity,
+                                            jitter_schedule=jitter_schedule, axes=axes)
+        self.mask = None
+
+    def fit(self, X, f, history):
+        self.evaluator.fit(X, f)
+        self.mask = _feasible_mask(self.candidates, history, self.min_distance)
+
+    def ask(self, acq_cfg: AcquisitionConfig) -> tuple[int, float]:
+        if not self.mask.any():
+            raise Exhausted("no candidate satisfies the minimum sampling distance")
+        acq = np.where(self.mask, self.evaluator.acquisition_values(acq_cfg), -np.inf)
+        idx = int(np.argmax(acq))
+        return idx, float(acq[idx])
+
+    def tell(self, x, y):
+        self.evaluator.append(x, y)
+        self.exclude(x)
+
+    def exclude(self, point):
+        """Clear the mask near ``point`` without observing it."""
+        _exclude_near(self.mask, self.candidates, self.axes, point, self.min_distance)
+
+
+# the session and history of the last propose_next call, taken out under the
+# lock so that two concurrent calls never share an evaluator
+_last = None
+_last_lock = threading.Lock()
+
+
+def _resume(last, state: GPState, candidates, history, cfg: OptimizerConfig):
+    """The session of ``last`` brought up to ``state`` and ``history``, or
+    ``None`` when it cannot be: the kernel, prior mean, jitter, minimum
+    distance or candidates differ, or the samples or the history do not
+    extend the session's."""
+    if last is None:
+        return None
+    session, seen = last
+    ev = session.evaluator
+    old = ev.state()
+    k, h = old.n_samples, len(seen)
+    if not (old.kernel == state.kernel and old.prior_mean == state.prior_mean
+            and old.factor.jitter == state.factor.jitter
+            and session.min_distance == cfg.min_distance
+            and state.n_samples >= k and len(history) >= h
+            and np.array_equal(session.candidates, candidates)
+            and np.array_equal(state.inputs[:k], old.inputs)
+            and np.array_equal(state.values[:k], old.values)
+            and np.array_equal(history[:h], seen)):
+        return None
+    for x, y in zip(state.inputs[k:], state.values[k:]):
+        ev.append(x, y)
+    for p in history[h:]:
+        session.exclude(p)
+    return session
+
+
 def propose_next(state: GPState, candidates, history, cfg: OptimizerConfig):
     """Feasible candidate with maximal acquisition; lowest index wins ties.
 
     Returns ``(point, index, acquisition_value)``. Raises ``Exhausted`` when
     no candidate is at least ``min_distance`` away from every history point.
+
+    The posterior is the evaluator's, fitted to ``state.inputs`` and
+    ``state.values`` at ``state.factor.jitter``. The last call's session is
+    reused when the kernel, prior mean, jitter, ``cfg.min_distance`` and
+    candidate values match it, ``state.inputs``/``state.values`` extend its
+    samples and ``history`` extends its history: the new samples are told to
+    it in O(N k) each instead of a refit at O(N k^2). Otherwise a fresh
+    session is fitted on a copy of the candidates, so later edits to the
+    caller's array are seen as a change.
     """
+    global _last
     candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
     history = np.atleast_2d(np.asarray(history, dtype=float)) if len(history) else np.empty((0, cfg.dim))
-    mask = _feasible_mask(candidates, history, cfg.min_distance)
-    if not mask.any():
-        raise Exhausted("no candidate satisfies the minimum sampling distance")
-    evaluator = CandidateEvaluator(
-        state.kernel, candidates, state.prior_mean,
-        capacity=state.n_samples, jitter_schedule=(state.factor.jitter,),
-    )
-    evaluator.fit(state.inputs, state.values)
-    acq = evaluator.acquisition_values(cfg.acquisition)
-    acq = np.where(mask, acq, -np.inf)
-    idx = int(np.argmax(acq))
-    return candidates[idx], idx, float(acq[idx])
+    with _last_lock:
+        last, _last = _last, None
+    session = _resume(last, state, candidates, history, cfg)
+    if session is None:
+        session = Session(state.kernel, candidates.copy(), state.prior_mean, cfg.min_distance,
+                          capacity=state.n_samples, jitter_schedule=(state.factor.jitter,))
+        session.fit(state.inputs, state.values, history)
+    idx, value = session.ask(cfg.acquisition)
+    with _last_lock:
+        _last = (session, history.copy())
+    return candidates[idx], idx, value
 
 
 def _draw_priors(cfg: OptimizerConfig, rng: np.random.Generator) -> np.ndarray:
@@ -287,10 +372,10 @@ def run(objective, cfg: OptimizerConfig, truths=None) -> RunTrace:
 
     # allocated before the first objective call, so a grid too large for
     # memory fails before any evaluation is spent
-    evaluator = CandidateEvaluator(
-        cfg.kernel, candidates, cfg.prior_mean,
-        capacity=priors.shape[0] + cfg.budget, jitter_schedule=cfg.jitter_schedule, axes=axes,
-    )
+    session = Session(cfg.kernel, candidates, cfg.prior_mean, cfg.min_distance,
+                      capacity=priors.shape[0] + cfg.budget,
+                      jitter_schedule=cfg.jitter_schedule, axes=axes)
+    evaluator = session.evaluator
     acq_cfg = cfg.acquisition
     records = []
     prior_values = []
@@ -302,20 +387,18 @@ def run(objective, cfg: OptimizerConfig, truths=None) -> RunTrace:
             acquisition=None, flagged=False, distance=truth_distance(p),
         ))
 
-    evaluator.fit(priors, prior_values)
-    mask = _feasible_mask(candidates, priors, cfg.min_distance)
+    session.fit(priors, prior_values, priors)
 
     termination = "budget"
     for t in range(1, cfg.budget + 1):
-        if not mask.any():
+        try:
+            idx, acq = session.ask(acq_cfg)
+        except Exhausted:
             termination = "exhausted"
             break
-        acq = evaluator.acquisition_values(acq_cfg)
-        masked = np.where(mask, acq, -np.inf)
-        idx = int(np.argmax(masked))
         point = candidates[idx].copy()
         value = _observe(objective, point)
-        evaluator.append(point, value)
+        session.tell(point, value)
 
         flag = True
         if acq_cfg.uses_value:
@@ -325,10 +408,9 @@ def run(objective, cfg: OptimizerConfig, truths=None) -> RunTrace:
             flag = flag and float(np.linalg.norm(grad)) <= acq_cfg.epsilon
         records.append(StepRecord(
             step=t, kind="bo", point=point, value=value,
-            acquisition=float(acq[idx]), flagged=bool(flag),
+            acquisition=acq, flagged=bool(flag),
             distance=truth_distance(point),
         ))
-        _exclude_near(mask, candidates, axes, point, cfg.min_distance)
 
     return RunTrace(
         steps=tuple(records),
