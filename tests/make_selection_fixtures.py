@@ -4,8 +4,10 @@ Runs ``configs/griewank2d_jointpi.cfg``, ``shubert_jointei.cfg`` and
 ``tabulated_demo.cfg``, and ``compare`` on ``synthetic1d_compare.cfg`` at
 seed 0, and freezes every column of each ``trace.csv`` except
 ``acquisition``, whose last bits move with the rounding of the acquisition
-formulas. ``tests/test_selections.py`` checks that the runs still select
-the same points.
+formulas. No bundled config is 4-D, so one ask/tell loop on 4-D Griewank
+(``ASKTELL_4D``) is frozen beside them: each round's chosen index, point
+and value, again without the acquisition. ``tests/test_selections.py``
+checks that the runs still select the same points.
 
 Run from the repository root:  python tests/make_selection_fixtures.py
 """
@@ -16,7 +18,11 @@ import os
 import tempfile
 from pathlib import Path
 
-from multibo import harness
+import numpy as np
+
+from multibo import gp, harness, objectives, optimizer
+from multibo.acquisition import AcquisitionConfig
+from multibo.kernels import SquaredExponential
 
 REPO = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).parent / "fixtures" / "selections"
@@ -28,6 +34,46 @@ RUNS = {
     "tabulated_demo": ["run", "configs/tabulated_demo.cfg"],
     "compare0": ["compare", "configs/synthetic1d_compare.cfg", "--seed", "0"],
 }
+
+# ask/tell on 4-D Griewank with the priors and settings of the benchmark's
+# ``asktell-4d`` workload, over one seeded uniform point in each of
+# 10 x 10 x 5 x 5 = 2,500 cells of the box
+ASKTELL_4D = dict(
+    cells=(10, 10, 5, 5),
+    seed=0,
+    rounds=20,
+    config=optimizer.OptimizerConfig(
+        bounds=((-5.0, 5.0), (-5.0, 5.0), (-1.0, 1.0), (-1.0, 1.0)),
+        kernel=SquaredExponential(alpha=10.0, length_scale=1.0),
+        acquisition=AcquisitionConfig("joint_ei", threshold=1.8, epsilon=0.3),
+        budget=20, min_distance=0.3, random_candidates=2500, prior_mean=2.0,
+        prior_points=np.array([(3.05, 0.12, -0.08, 0.05), (-3.22, 0.15, 0.11, -0.06),
+                               (0.11, 4.32, 0.07, 0.04), (-0.14, -4.28, -0.12, 0.09)]),
+    ),
+)
+
+
+def asktell_lines() -> list[str]:
+    """``ASKTELL_4D``'s rounds of ``gp.fit`` and ``optimizer.propose_next``,
+    one line per round: the chosen index, point and objective value."""
+    cfg = ASKTELL_4D["config"]
+    objective = objectives.make_benchmark("griewank", dimension=4).objective
+    cells = np.asarray(ASKTELL_4D["cells"])
+    bounds = np.asarray(cfg.bounds)
+    lattice = np.stack(np.meshgrid(*map(np.arange, cells), indexing="ij"), -1).reshape(-1, 4)
+    u = np.random.default_rng(ASKTELL_4D["seed"]).random(lattice.shape)
+    cands = bounds[:, 0] + (lattice + u) / cells * (bounds[:, 1] - bounds[:, 0])
+    X = list(cfg.prior_points)
+    y = [float(objective(p)) for p in X]
+    lines = ["round,index,x1,x2,x3,x4,value"]
+    for r in range(1, ASKTELL_4D["rounds"] + 1):
+        state = gp.fit(np.asarray(X), np.asarray(y), cfg.prior_mean, cfg.kernel,
+                       cfg.jitter_schedule)
+        point, idx, _ = optimizer.propose_next(state, cands, np.asarray(X), cfg)
+        X.append(point)
+        y.append(float(objective(point)))
+        lines.append(",".join([str(r), str(idx), *map(repr, point.tolist()), repr(y[-1])]))
+    return lines
 
 
 def selection_lines(trace_path) -> list[str]:
@@ -41,14 +87,17 @@ def selection_lines(trace_path) -> list[str]:
 
 def run_all(out_root) -> dict[str, list[str]]:
     """Run ``RUNS`` under ``out_root``; fixture name -> selection lines, one
-    per trace (``compare0_joint_pi`` for a multi-run command's runs)."""
+    per trace (``compare0_joint_pi`` for a multi-run command's runs), plus
+    ``asktell_griewank4d`` for the ask/tell loop."""
     out_root = Path(out_root)
     for name, argv in RUNS.items():
         assert harness.main([*argv, "--out", str(out_root / name)]) == 0, name
-    return {
+    selections = {
         "_".join(path.parent.relative_to(out_root).parts): selection_lines(path)
         for path in sorted(out_root.rglob("trace.csv"))
     }
+    selections["asktell_griewank4d"] = asktell_lines()
+    return selections
 
 
 def main():
