@@ -30,10 +30,11 @@ If the floored block's determinant is at most 1e-12 max(1, max diag)^n in
 magnitude, the solve is replaced by the diagonal approximation
 t = S_yx / diag; such candidates sit where the posterior has collapsed onto
 data, and the band factor controls the acquisition there. Otherwise the
-solve is exact: in closed form for n <= 3, by a batched ``np.linalg.solve``
-above. The determinant of the test is in closed form for n <= 4 and from
-``np.linalg.det`` above. The conditional variance is clamped into [0, S_xx]:
-conditioning on the gradient can only shrink it.
+solve is exact. For n <= 4 it is in closed form, elementwise over the
+candidates: the adjugate over the determinant, which is also the
+determinant of the test. For n >= 5 numpy's batched LAPACK gives both
+(``np.linalg.det`` and ``np.linalg.solve``). The conditional variance is
+clamped into [0, S_xx]: conditioning on the gradient can only shrink it.
 """
 
 from __future__ import annotations
@@ -168,7 +169,8 @@ def condition_on_zero_gradient(mean, packed):
 
 
 def _solve_gradient_block(packed, n):
-    """t = S_yy^-1 S_yx under the module's degenerate-case policy, (N, n)."""
+    """t = S_yy^-1 S_yx under the module's degenerate-case policy, (N, n):
+    the adjugate over the determinant for n <= 4, batched LAPACK above."""
     N = packed.shape[1]
     pos = _position(n)
 
@@ -183,60 +185,76 @@ def _solve_gradient_block(packed, n):
     dsafe = [np.maximum(d[i], floor) for i in range(n)]
     tiny = 1e-12 * np.maximum(scale, 1.0) ** n
     sxy = packed[1:1 + n]
-    if n > 3:
+    if n > 4:
         block = np.empty((N, n, n))
         for i in range(n):
             block[:, i, i] = dsafe[i]
             for j in range(i + 1, n):
                 block[:, i, j] = block[:, j, i] = syy(i, j)
-        ok = np.abs(_det4(dsafe, syy) if n == 4 else np.linalg.det(block)) > tiny
+        ok = np.abs(np.linalg.det(block)) > tiny
         block[~ok] = np.eye(n)  # an invertible stand-in, its solution unused
         exact = np.linalg.solve(block, sxy.T[:, :, None])[:, :, 0]
         return np.where(ok[:, None], exact, (sxy / np.stack(dsafe)).T)
-    # closed form: the adjugate over the determinant
-    cof = _cofactors(dsafe, syy)
-    det = dsafe[0] * cof[0][0]
-    for j in range(1, n):
-        det = det + syy(0, j) * cof[0][j]
+    adj, det = _cofactors(dsafe, syy)
     ok = np.abs(det) > tiny
     det_safe = np.where(ok, det, 1.0)
     t = np.empty((N, n))
     for i in range(n):
-        exact = cof[i][0] * sxy[0]
+        exact = adj[i][0] * sxy[0]
         for j in range(1, n):
-            exact = exact + cof[i][j] * sxy[j]
+            exact = exact + adj[i][j] * sxy[j]
         t[:, i] = np.where(ok, exact / det_safe, sxy[i] / dsafe[i])
     return t
 
 
-def _det4(d, syy):
-    """Determinant of the symmetric 4 x 4 gradient block with diagonal ``d``
-    and off-diagonal entries ``syy(i, j)``, by Laplace expansion along the
-    first two rows: signed products of complementary 2 x 2 minors."""
-    a = [[d[i] if i == j else syy(min(i, j), max(i, j)) for j in range(4)] for i in range(4)]
-
-    def minor(r, j, k):
-        return a[r][j] * a[r + 1][k] - a[r][k] * a[r + 1][j]
-
-    return (minor(0, 0, 1) * minor(2, 2, 3) - minor(0, 0, 2) * minor(2, 1, 3)
-            + minor(0, 0, 3) * minor(2, 1, 2) + minor(0, 1, 2) * minor(2, 0, 3)
-            - minor(0, 1, 3) * minor(2, 0, 2) + minor(0, 2, 3) * minor(2, 0, 1))
-
-
 def _cofactors(d, syy):
-    """Cofactor matrix of the symmetric gradient block, n <= 3, with diagonal
-    ``d`` and off-diagonal entries ``syy(i, j)``."""
-    if len(d) == 1:
-        return [[1.0]]
-    if len(d) == 2:
+    """Cofactor matrix (the adjugate, as the block is symmetric) and
+    determinant of the gradient block, n <= 4, with diagonal ``d`` and
+    off-diagonal entries ``syy(i, j)``, i < j.
+
+    For n = 4 both come from the 2 x 2 minors of rows (0, 1) and of rows
+    (2, 3): the determinant is their Laplace expansion along the first two
+    rows, and each cofactor is a signed 3 x 3 minor expanded along one row
+    with the 2 x 2 minors of the other pair of rows."""
+    n = len(d)
+    if n == 1:
+        adj = [[1.0]]
+    elif n == 2:
         o = -syy(0, 1)
-        return [[d[1], o], [o, d[0]]]
-    a, b, c = d
-    e, f, g = syy(0, 1), syy(0, 2), syy(1, 2)
-    c01 = f * g - e * c
-    c02 = e * g - f * b
-    c12 = e * f - a * g
-    return [[b * c - g * g, c01, c02], [c01, a * c - f * f, c12], [c02, c12, a * b - e * e]]
+        adj = [[d[1], o], [o, d[0]]]
+    elif n == 3:
+        a, b, c = d
+        e, f, g = syy(0, 1), syy(0, 2), syy(1, 2)
+        c01 = f * g - e * c
+        c02 = e * g - f * b
+        c12 = e * f - a * g
+        adj = [[b * c - g * g, c01, c02], [c01, a * c - f * f, c12], [c02, c12, a * b - e * e]]
+    else:
+        a00, a11, a22, a33 = d
+        a01, a02, a03, a12, a13, a23 = (syy(j, k) for j, k in _PAIRS4)
+        a = [[a00, a01, a02, a03], [a01, a11, a12, a13], [a02, a12, a22, a23], [a03, a13, a23, a33]]
+        # minors of rows (0, 1) and of rows (2, 3) over the column pairs
+        # (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)
+        s0, s1, s2, s3, s4, s5 = (a[0][j] * a[1][k] - a[0][k] * a[1][j] for j, k in _PAIRS4)
+        c0, c1, c2, c3, c4, c5 = (a[2][j] * a[3][k] - a[2][k] * a[3][j] for j, k in _PAIRS4)
+        x01 = -a01 * c5 + a02 * c4 - a03 * c3
+        x02 = a13 * s5 - a23 * s4 + a33 * s3
+        x03 = -a12 * s5 + a22 * s4 - a23 * s3
+        x12 = -a03 * s5 + a23 * s2 - a33 * s1
+        x13 = a02 * s5 - a22 * s2 + a23 * s1
+        x23 = -a02 * s4 + a12 * s2 - a23 * s0
+        adj = [[a11 * c5 - a12 * c4 + a13 * c3, x01, x02, x03],
+               [x01, a00 * c5 - a02 * c2 + a03 * c1, x12, x13],
+               [x02, x12, a03 * s4 - a13 * s2 + a33 * s0, x23],
+               [x03, x13, x23, a02 * s3 - a12 * s1 + a22 * s0]]
+        return adj, s0 * c5 - s1 * c4 + s2 * c3 + s3 * c2 - s4 * c1 + s5 * c0
+    det = d[0] * adj[0][0]
+    for j in range(1, n):
+        det = det + syy(0, j) * adj[0][j]
+    return adj, det
+
+
+_PAIRS4 = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 def values(cfg: AcquisitionConfig, mean, packed) -> np.ndarray:

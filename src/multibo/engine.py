@@ -87,8 +87,10 @@ never ``eval_matrix``, ``grad_tensor`` or ``joint_blocks_batch``; over the
 factors they form kernel values for their block as products of factor
 entries. They call ``acquisition.values``, which uses nothing
 in ``gp`` and, of ``numerics``, only the private Gaussian tail and
-density. So anything that wraps the kernel's matrix methods or the public
-``gp`` and ``numerics`` functions sees calls from one thread. No arithmetic
+density; for n <= 4 it is elementwise numpy too, and for n >= 5 its
+gradient solve calls numpy's batched LAPACK in the workers. So anything
+that wraps the kernel's matrix methods or the public ``gp`` and
+``numerics`` functions sees calls from one thread. No arithmetic
 of the per-step sweep depends on the block bounds, so what ``append`` and
 ``acquisition_values`` compute does not depend on the block size or the
 worker count. A full rebuild does depend on them: ``fit`` rebuilds the
@@ -366,9 +368,17 @@ class CandidateEvaluator:
 
     def _refresh_alpha(self):
         k = self._k
-        L = self._L[:k, :k]
-        y = solve_triangular(L, self._f[:k] - self.prior_mean, lower=True)
-        self._alpha = solve_triangular(L.T, y, lower=False)
+        y = solve_triangular(self._L[:k, :k], self._f[:k] - self.prior_mean, lower=True)
+        self._alpha = self._back_solve(y)
+
+    def _back_solve(self, b):
+        """x with L^T x = b for the factor's filled k x k block. It is handed
+        to LAPACK as a Fortran-ordered lower factor at every capacity: the
+        slice is C-contiguous only when k equals the capacity, and scipy
+        would then solve a different (upper, untransposed) system whose
+        rounding differs."""
+        k = self._k
+        return solve_triangular(np.asfortranarray(self._L[:k, :k]), b, lower=True, trans="T")
 
     def _rebuild_scov(self):
         k = self._k
@@ -408,7 +418,7 @@ class CandidateEvaluator:
             self.fit(X, f)
             return
         lam = np.sqrt(lam2)
-        c = solve_triangular(L.T, l_row, lower=False)
+        c = self._back_solve(l_row)
         # extend the sample set first so the fused GEMM sees the new cross terms
         self._terms.add(k, x_new[None, :], self._sweep)
         self._X[k] = x_new

@@ -3,10 +3,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from multibo import gp
 from multibo.acquisition import (
+    _solve_gradient_block,
     AcquisitionConfig,
     condition_on_zero_gradient,
     condition_value_on_gradient,
@@ -308,3 +311,82 @@ def test_singular_gradient_blocks_take_the_diagonal_fallback():
                 ref_mean, ref_var = oracles.conditional_oracle(b, np.zeros(n))
                 assert one.mean == pytest.approx(ref_mean, abs=1e-10 * max(1, abs(ref_mean)))
                 assert one.variance == pytest.approx(ref_var, abs=1e-10 * max(1, abs(ref_var)))
+
+
+def _gradient_solve(syy, sxy):
+    """The module's t for one gradient block, and the policy's floored
+    diagonal and determinant threshold for it."""
+    n = len(sxy)
+    cov = np.eye(1 + n)
+    cov[0, 1:] = cov[1:, 0] = sxy
+    cov[1:, 1:] = syy
+    scale = max(np.diag(syy).max(), 0.0)
+    dsafe = np.maximum(np.diag(syy), 1e-12 * max(scale, 1.0))
+    return _solve_gradient_block(pack(cov), n)[0], dsafe, 1e-12 * max(scale, 1.0) ** n
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    log_cond=st.floats(0.0, 8.0),
+    log_scale=st.floats(-6.0, 3.0),
+    spread=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_n4_closed_form_solve_matches_lapack(log_cond, log_scale, spread, seed):
+    # an SPD block with eigenvalues from scale down to scale / cond, in a
+    # random basis
+    rng = np.random.default_rng(seed)
+    eig = 10.0 ** (log_scale - log_cond * np.array([0.0, *spread, 1.0]))
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    syy = (q * eig) @ q.T
+    syy = 0.5 * (syy + syy.T)
+    sxy = rng.standard_normal(4) * 10.0 ** (0.5 * log_scale)
+    t, dsafe, tiny = _gradient_solve(syy, sxy)
+    block = syy.copy()
+    block[np.diag_indices(4)] = dsafe
+    det = np.linalg.det(block)
+    assume(not tiny / 2 <= abs(det) <= 2 * tiny)   # the test itself is within rounding
+    if abs(det) < tiny:
+        np.testing.assert_array_equal(t, sxy / dsafe)
+        return
+    want = np.linalg.solve(block, sxy)
+    # the adjugate over the determinant loses eps * cond like any solve, and
+    # also the determinant's own cancellation, up to eps * max(diag)^4 / |det|
+    eps = np.finfo(float).eps
+    tol = 16 * eps * (np.linalg.cond(block) + dsafe.max() ** 4 / abs(det)) * np.abs(want).max()
+    np.testing.assert_allclose(t, want, rtol=0, atol=tol)
+
+
+def test_n4_determinant_just_below_the_threshold_takes_the_fallback():
+    # a coupled pair, a unit entry and x: the determinant is 3 x exactly
+    # as the closed form computes it, with the threshold tiny = 1e-12 * 2^4
+    sxy = np.array([0.5, -0.25, 0.75, 1e-6])
+    tiny = 1e-12 * 2.0 ** 4
+    x = tiny / 3.0
+    while 3.0 * x > tiny:
+        x = np.nextafter(x, 0.0)
+    while 3.0 * np.nextafter(x, 1.0) <= tiny:
+        x = np.nextafter(x, 1.0)
+    for x_case, exact in ((x, False), (np.nextafter(x, 1.0), True)):
+        syy = np.diag([2.0, 2.0, 1.0, x_case])
+        syy[0, 1] = syy[1, 0] = 1.0
+        t, dsafe, got_tiny = _gradient_solve(syy, sxy)
+        assert got_tiny == tiny and (3.0 * x_case > tiny) == exact
+        if exact:
+            np.testing.assert_allclose(t, np.linalg.solve(syy, sxy), rtol=1e-14)
+        else:
+            np.testing.assert_array_equal(t, sxy / dsafe)
+
+
+def test_n5_batch_matches_the_dense_oracle():
+    rng = np.random.default_rng(55)
+    batch = []
+    for _ in range(40):
+        a = rng.standard_normal((6, 6))
+        batch.append(gp.JointGaussian(rng.standard_normal(6), a @ a.T + 0.2 * np.eye(6)))
+    got_mean, got_var = condition_on_zero_gradient(
+        np.array([b.mean for b in batch]), np.hstack([pack(b.cov) for b in batch]))
+    for i, b in enumerate(batch):
+        ref_mean, ref_var = oracles.conditional_oracle(b, np.zeros(5))
+        assert got_mean[i] == pytest.approx(ref_mean, abs=1e-10 * max(1, abs(ref_mean)))
+        assert got_var[i] == pytest.approx(ref_var, abs=1e-10 * max(1, abs(ref_var)))

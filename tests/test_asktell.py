@@ -266,12 +266,11 @@ def test_concurrent_asks_never_share_a_session():
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 4), quadratic=st.booleans(), grid=st.booleans(),
-       k=st.sampled_from([3, 5, 6, 7, 9, 10, 11]), seed=st.integers(0, 2**16))
+       k=st.integers(3, 11), seed=st.integers(0, 2**16))
 def test_growth_keeps_the_posterior(n, quadratic, grid, k, seed):
     """An evaluator grown from capacity 1 ends bit-identical to one allocated
-    for every sample. ``k`` is never a power of two: after an append that
-    fills the factor, its slice is contiguous and scipy's solve against its
-    transpose takes another LAPACK path, whose rounding differs."""
+    for every sample, also when the last append fills the grown capacity
+    (k = 4 or 8)."""
     rng = np.random.default_rng(seed)
     kernel = Polynomial(1.3) if quadratic else SquaredExponential(1.4, 0.6)
     axes = [np.linspace(-1.0, 1.0, 5)] * n if grid else None

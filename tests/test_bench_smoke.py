@@ -4,7 +4,7 @@
 dense posterior and the method's properties; this keeps the command and
 those checks working as the program changes. ``grid3d-run`` is the one
 workload whose n = 3 closed-form gradient solve meets that reference, and
-``asktell-4d`` the one whose n = 4 batched solve does. The dense reference
+``asktell-4d`` the one whose n = 4 closed-form solve does. The dense reference
 has tests of its own under ``bench/``, run here as well.
 """
 

@@ -1,4 +1,5 @@
-"""The blocked candidate sweep, the memory preflight and the feasibility mask."""
+"""The blocked candidate sweep, capacity, the memory preflight and the
+feasibility mask."""
 
 import multiprocessing
 import sys
@@ -153,6 +154,36 @@ def test_n4_gradient_solve_does_not_depend_on_the_block_size():
     np.testing.assert_array_equal(got, want)
     _, _, fallback = diagonal_fallback(ev.posterior_mean()[0], ev.joint_cov(0), cfg)
     assert want[0] == pytest.approx(fallback, rel=1e-12)
+
+
+def _filled(kernel, cands, X, f, capacity, fitted):
+    """An evaluator at ``capacity`` fitted on the first ``fitted`` samples
+    and told the rest one by one."""
+    ev = CandidateEvaluator(kernel, cands, 0.25, capacity=capacity)
+    ev.fit(X[:fitted], f[:fitted])
+    for x, y in zip(X[fitted:], f[fitted:]):
+        ev.append(x, y)
+    return ev
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("kernel", [SquaredExponential(2.0, 0.6), Polynomial(1.3)],
+                         ids=["se", "quadratic"])
+def test_outputs_do_not_depend_on_the_capacity(kernel, n):
+    # the factor fills its capacity exactly at k = 6 and is half full at 12,
+    # by a fit of all six samples and by appends after a fit of two
+    rng = np.random.default_rng(n)
+    cands = rng.uniform(-1.0, 1.0, (15, n))
+    X, f = rng.uniform(-1.0, 1.0, (6, n)), rng.standard_normal(6)
+    for fitted in (6, 2):
+        full, half = (_filled(kernel, cands, X, f, capacity, fitted) for capacity in (6, 12))
+        np.testing.assert_array_equal(full._alpha, half._alpha)
+        np.testing.assert_array_equal(full.posterior_mean(), half.posterior_mean())
+        np.testing.assert_array_equal(full._scov, half._scov)
+        for family in FAMILIES:
+            cfg = AcquisitionConfig(family, 0.2, 0.3)
+            np.testing.assert_array_equal(full.acquisition_values(cfg),
+                                          half.acquisition_values(cfg), err_msg=family)
 
 
 def test_evaluator_refuses_a_capacity_beyond_physical_memory():
