@@ -207,6 +207,10 @@ def _solve_gradient_block(packed, n):
     return t
 
 
+# the column pairs of a 4 x 4 block's 2 x 2 minors
+_PAIRS4 = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
 def _cofactors(d, syy):
     """Cofactor matrix (the adjugate, as the block is symmetric) and
     determinant of the gradient block, n <= 4, with diagonal ``d`` and
@@ -233,8 +237,7 @@ def _cofactors(d, syy):
         a00, a11, a22, a33 = d
         a01, a02, a03, a12, a13, a23 = (syy(j, k) for j, k in _PAIRS4)
         a = [[a00, a01, a02, a03], [a01, a11, a12, a13], [a02, a12, a22, a23], [a03, a13, a23, a33]]
-        # minors of rows (0, 1) and of rows (2, 3) over the column pairs
-        # (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)
+        # the minors of rows (0, 1), then of rows (2, 3)
         s0, s1, s2, s3, s4, s5 = (a[0][j] * a[1][k] - a[0][k] * a[1][j] for j, k in _PAIRS4)
         c0, c1, c2, c3, c4, c5 = (a[2][j] * a[3][k] - a[2][k] * a[3][j] for j, k in _PAIRS4)
         x01 = -a01 * c5 + a02 * c4 - a03 * c3
@@ -252,9 +255,6 @@ def _cofactors(d, syy):
     for j in range(1, n):
         det = det + syy(0, j) * adj[0][j]
     return adj, det
-
-
-_PAIRS4 = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 def values(cfg: AcquisitionConfig, mean, packed) -> np.ndarray:

@@ -372,11 +372,9 @@ class CandidateEvaluator:
         self._alpha = self._back_solve(y)
 
     def _back_solve(self, b):
-        """x with L^T x = b for the factor's filled k x k block. It is handed
-        to LAPACK as a Fortran-ordered lower factor at every capacity: the
-        slice is C-contiguous only when k equals the capacity, and scipy
-        would then solve a different (upper, untransposed) system whose
-        rounding differs."""
+        """x with L^T x = b for the filled k x k factor. A Fortran-ordered
+        copy keeps LAPACK on one (lower, transposed) path at every capacity;
+        a full, C-contiguous slice would take another that rounds differently."""
         k = self._k
         return solve_triangular(np.asfortranarray(self._L[:k, :k]), b, lower=True, trans="T")
 

@@ -41,7 +41,6 @@ RUNS = {
 ASKTELL_4D = dict(
     cells=(10, 10, 5, 5),
     seed=0,
-    rounds=20,
     config=optimizer.OptimizerConfig(
         bounds=((-5.0, 5.0), (-5.0, 5.0), (-1.0, 1.0), (-1.0, 1.0)),
         kernel=SquaredExponential(alpha=10.0, length_scale=1.0),
@@ -54,8 +53,9 @@ ASKTELL_4D = dict(
 
 
 def asktell_lines() -> list[str]:
-    """``ASKTELL_4D``'s rounds of ``gp.fit`` and ``optimizer.propose_next``,
-    one line per round: the chosen index, point and objective value."""
+    """``ASKTELL_4D``'s ``budget`` rounds of ``gp.fit`` and
+    ``optimizer.propose_next``, one line per round: the chosen index, point
+    and objective value."""
     cfg = ASKTELL_4D["config"]
     objective = objectives.make_benchmark("griewank", dimension=4).objective
     cells = np.asarray(ASKTELL_4D["cells"])
@@ -66,7 +66,7 @@ def asktell_lines() -> list[str]:
     X = list(cfg.prior_points)
     y = [float(objective(p)) for p in X]
     lines = ["round,index,x1,x2,x3,x4,value"]
-    for r in range(1, ASKTELL_4D["rounds"] + 1):
+    for r in range(1, cfg.budget + 1):
         state = gp.fit(np.asarray(X), np.asarray(y), cfg.prior_mean, cfg.kernel,
                        cfg.jitter_schedule)
         point, idx, _ = optimizer.propose_next(state, cands, np.asarray(X), cfg)

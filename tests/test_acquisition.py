@@ -377,16 +377,3 @@ def test_n4_determinant_just_below_the_threshold_takes_the_fallback():
         else:
             np.testing.assert_array_equal(t, sxy / dsafe)
 
-
-def test_n5_batch_matches_the_dense_oracle():
-    rng = np.random.default_rng(55)
-    batch = []
-    for _ in range(40):
-        a = rng.standard_normal((6, 6))
-        batch.append(gp.JointGaussian(rng.standard_normal(6), a @ a.T + 0.2 * np.eye(6)))
-    got_mean, got_var = condition_on_zero_gradient(
-        np.array([b.mean for b in batch]), np.hstack([pack(b.cov) for b in batch]))
-    for i, b in enumerate(batch):
-        ref_mean, ref_var = oracles.conditional_oracle(b, np.zeros(5))
-        assert got_mean[i] == pytest.approx(ref_mean, abs=1e-10 * max(1, abs(ref_mean)))
-        assert got_var[i] == pytest.approx(ref_var, abs=1e-10 * max(1, abs(ref_var)))
