@@ -14,15 +14,17 @@ downdate  S(x) -= v(x) v(x)^T  with
     v(x) = (a_new(x) - A(x) c) / lam,      c = K^-1 k(X, x_new),
 
 where ``a_new(x)`` is the joint kernel column of the new sample. The
-products A(x) c and A(x) alpha (posterior mean) collapse into a single
-fused GEMM against the cross terms, so the per-iteration cost is O(N k)
-instead of O(N k^2).
+same v(x) updates the posterior mean: with z = L^-1 (f - m), the mean is
+m + V(x)^T z for V(x) = L^-1 A(x)^T, the rows whose products give the
+covariance, so the append adds  v(x) z_new  for the new entry of z. The
+product A(x) c is one GEMM against the cross terms, so the per-iteration
+cost is O(N k) instead of O(N k^2).
 
 The cross terms take one of two forms, chosen once from the input:
 
 * a dense cache (``_DenseCross``): ``cross_rows`` rows per sample against
   every candidate, k x N, stored sample-major so the GEMM reads contiguous
-  memory; the GEMM writes a candidate-major N x 2(1 + n) output;
+  memory; the GEMM writes a candidate-major N x (1 + n) output;
 * per-axis factors (``_GridCross``), when the candidates are a tensor grid
   with axes of lengths m_1, ..., m_n and the kernel is ``separable``: per
   sample, the outer product of its factors over the first n - 1 axes
@@ -35,14 +37,14 @@ The cross terms take one of two forms, chosen once from the input:
 
 Both forms give the same posterior up to rounding: the kernel values and
 the order of the GEMM's sums differ in the last bits. The GEMM output is one
-buffer per evaluator, reused by every append and mean refresh.
+buffer per evaluator, reused by every append.
 
 The engine never branches on kernel type. The kernel supplies every
 kernel-specific batched piece (see ``multibo.kernels``): how many cache rows
 it keeps per sample (``cross_rows``), whether its prior block is the same at
 every candidate (``stationary``, in which case one packed column is kept
 and the block is computed at one candidate), the new sample's cache rows
-(``fill_cross``), the raw A(x) @ W GEMM (``joint_dot``) with its gradient
+(``fill_cross``), the raw A(x) @ w GEMM (``joint_dot``) with its gradient
 fixup (``finish_dot``), and the new sample's joint column
 (``joint_column``); for the factored form, whether it factorises over axes
 (``separable``), a sample's per-axis factors (``axis_factors``) and the
@@ -68,18 +70,18 @@ Candidate sweep
 Apart from the GEMMs, the per-step work is elementwise numpy over the
 candidates. At a million candidates, full-width passes spend their time
 moving temporaries through memory, so every per-step pass (the dense
-cross rows of new samples, the gradient fixups, the mean, the downdate
-with the new sample's joint column, and the whole acquisition) runs block
-by block instead: the candidates are split into equal blocks of at most
-``_CHUNK`` (20,000) rows, whose temporaries stay in
+cross rows of new samples, the gradient fixups, the covariance downdate
+and mean update with the new sample's joint column, and the whole
+acquisition) runs block by block instead: the candidates are split into
+equal blocks of at most ``_CHUNK`` (20,000) rows, whose temporaries stay in
 cache, and the blocks are spread over a module-level thread pool with one
 worker per CPU the process may run on (numpy releases the GIL inside its
 loops). A single block runs in the calling thread. BLAS calls stay on the
-calling thread: the fused GEMM of ``append`` and the GEMM that refreshes a
-stale posterior mean (full width over a dense cache; one GEMM per output
-column over the factors, each writing a whole row of the output), and the
-triangular solves of ``fit``. OpenBLAS threads them itself, and running
-them inside the workers as well oversubscribes the cores. The new sample's
+calling thread: the GEMM of ``append`` (full width over a dense cache; one
+GEMM per output column over the factors, each writing a whole row of the
+output), and the triangular solves of ``fit``. OpenBLAS threads them
+itself, and running them inside the workers as well oversubscribes the
+cores. The new sample's
 factors are computed on the calling thread too; they are small. Workers
 run numpy on slices of the cross terms and the GEMM output only: of the
 kernel they call ``fill_cross``, ``finish_dot`` and ``joint_column``,
@@ -94,9 +96,10 @@ that wraps the kernel's matrix methods or the public ``gp`` and
 of the per-step sweep depends on the block bounds, so what ``append`` and
 ``acquisition_values`` compute does not depend on the block size or the
 worker count. A full rebuild does depend on them: ``fit`` rebuilds the
-packed covariances in ``_CHUNK``-row blocks, and the rounding of each
-block's triangular solve depends on its row count, so the covariances after
-a fit or refit can move in the last bits when ``_CHUNK`` changes.
+packed covariances and the mean in ``_CHUNK``-row blocks, and the rounding
+of each block's triangular solve depends on its row count, so the
+covariances and the mean after a fit or refit can move in the last bits
+when ``_CHUNK`` changes.
 """
 
 from __future__ import annotations
@@ -165,12 +168,11 @@ class _DenseCross:
 
         sweep(fill)
 
-    def dot(self, X, weights, raw):
-        width = len(weights) * (1 + X.shape[1])
-        return self.kernel.joint_dot(self.cache[:, :X.shape[0]], X, weights, out=raw[:, :width])
+    def dot(self, X, w, raw):
+        return self.kernel.joint_dot(self.cache[:, :X.shape[0]], X, w, out=raw)
 
-    def group(self, raw, g, width, rows):
-        return raw[rows, g * width:(g + 1) * width]
+    def group(self, raw, rows):
+        return raw[rows]
 
     def values(self, samples, rows):
         return self.cache[0, samples, rows]
@@ -213,16 +215,16 @@ class _GridCross:
             self.head[j] = head
             self.tail[j] = factors[-1]
 
-    def dot(self, X, weights, raw):
+    def dot(self, X, w, raw):
         k = X.shape[0]
         head, tail = self.head[:k].T, self.tail[:k]
-        W = self.kernel.dot_weights(X, weights)
+        W = self.kernel.dot_weights(X, w)
         for c in range(W.shape[1]):
             np.matmul(head, W[:, c, None] * tail, out=raw[c].reshape(head.shape[0], -1))
         return raw
 
-    def group(self, raw, g, width, rows):
-        return raw[g * width:(g + 1) * width, rows].T
+    def group(self, raw, rows):
+        return raw[:, rows].T
 
     def values(self, samples, rows):
         # outer products over the grid rows the block touches, cut to the block
@@ -270,12 +272,12 @@ class CandidateEvaluator:
         self._L = np.zeros((self.capacity, self.capacity))
         self._k = 0
         self._jitter = 0.0
-        self._alpha = np.empty(0)
+        self._alpha = self._z = np.empty(0)
         # the cross terms' arrays are the evaluator's own, like every array it keeps
         self._cross = np.empty(shape)
         self._terms = terms(kernel, self.cands, self._cross, axes)
-        # output of the fused GEMM, reused by every append and mean refresh
-        self._raw = self._terms.buffer(2 * (1 + n))
+        # output of the GEMM A(x) c, reused by every append
+        self._raw = self._terms.buffer(1 + n)
         self._scov = np.empty((len(self._pairs), n_cand))
         # a stationary kernel's blocks are candidate-independent; keep one column
         k0_val, k0_cross, k0_hess = kernel.joint_blocks_batch(
@@ -289,7 +291,6 @@ class CandidateEvaluator:
             else:
                 self._k0p[p] = k0_hess[:, i - 1, j - 1]
         self._mu = np.empty((n_cand, 1 + n))
-        self._mu_fresh = False
 
     def _cross_shape(self, capacity):
         """Shape of the cross terms at ``capacity`` samples; raises
@@ -326,12 +327,12 @@ class CandidateEvaluator:
         """Bytes of the evaluator's arrays: the cross terms (``cross_floats``
         doubles), the Cholesky factor, samples and weights, the packed
         covariances with their prior blocks, the posterior mean and the
-        sweep's full-width buffers (the fused GEMM output and the acquisition
+        sweep's full-width buffers (the GEMM output and the acquisition
         values)."""
         width = 1 + n
         packed = width * (width + 1) // 2
-        rows = 2 * packed + width + (2 * width + 1)
-        return 8 * (cross_floats + rows * n_cand + capacity * (capacity + n + 2))
+        rows = 2 * packed + width + (width + 1)
+        return 8 * (cross_floats + rows * n_cand + capacity * (capacity + n + 3))
 
     # -- candidate sweep -----------------------------------------------------
 
@@ -362,14 +363,15 @@ class CandidateEvaluator:
         self._f[:k] = f
         self._L[:k, :k] = factor.lower
         self._refresh_alpha()
-        self._mu_fresh = False
         self._terms.add(0, X, self._sweep)
         self._rebuild_scov()
 
     def _refresh_alpha(self):
+        """z = L^-1 (f - m), the mean's weights on the rows L^-1 A(x)^T, and
+        alpha = K^-1 (f - m) = L^-T z."""
         k = self._k
-        y = solve_triangular(self._L[:k, :k], self._f[:k] - self.prior_mean, lower=True)
-        self._alpha = self._back_solve(y)
+        self._z = solve_triangular(self._L[:k, :k], self._f[:k] - self.prior_mean, lower=True)
+        self._alpha = self._back_solve(self._z)
 
     def _back_solve(self, b):
         """x with L^T x = b for the filled k x k factor. A Fortran-ordered
@@ -394,6 +396,8 @@ class CandidateEvaluator:
             for p, (i, j) in enumerate(self._pairs):
                 k0 = self._k0p[p, block] if self._k0p.shape[1] > 1 else self._k0p[p, 0]
                 self._scov[p, block] = k0 - np.einsum("ak,ak->a", v[:, i, :], v[:, j, :])
+            np.einsum("aik,k->ai", v, self._z, out=self._mu[block])
+            self._mu[block, 0] += self.prior_mean
 
     def append(self, x_new, f_new):
         """Add one observation; falls back to a full refit when the factor degrades."""
@@ -417,7 +421,7 @@ class CandidateEvaluator:
             return
         lam = np.sqrt(lam2)
         c = self._back_solve(l_row)
-        # extend the sample set first so the fused GEMM sees the new cross terms
+        # extend the sample set first so the downdate sees the new cross terms
         self._terms.add(k, x_new[None, :], self._sweep)
         self._X[k] = x_new
         self._f[k] = f_new
@@ -425,27 +429,20 @@ class CandidateEvaluator:
         self._L[k, k] = lam
         self._k = k + 1
         self._refresh_alpha()
-        # one fused GEMM yields both the downdate projection (old samples,
-        # weight c padded with 0) and the new posterior mean (weight alpha)
-        raw = self._terms.dot(self._X[:k + 1], (np.append(c, 0.0), self._alpha), self._raw)
-        self._sweep(lambda rows: self._downdate(rows, raw, x_new, lam))
-        self._mu_fresh = True
+        raw = self._terms.dot(self._X[:k], c, self._raw)
+        self._sweep(lambda rows: self._downdate(rows, raw, x_new, lam, self._z[k]))
 
-    def _downdate(self, rows, raw, x_new, lam):
-        """Finish the fused GEMM for candidate ``rows``: store the posterior
-        mean and downdate the packed covariances by v v^T for the newest
-        sample ``x_new``."""
-        width = 1 + self.n
-        cands = self.cands[rows]
-        u = self.kernel.finish_dot(self._terms.group(raw, 0, width, rows), cands)
-        mu = self.kernel.finish_dot(self._terms.group(raw, 1, width, rows), cands)
+    def _downdate(self, rows, raw, x_new, lam, z_new):
+        """Finish the GEMM A(x) c for candidate ``rows`` into v(x) of the
+        newest sample ``x_new``: add v z_new to the posterior mean and
+        downdate the packed covariances by v v^T."""
+        u = self.kernel.finish_dot(self._terms.group(raw, rows), self.cands[rows])
         v = self._terms.column(self._k - 1, x_new, rows)
-        for i in range(width):
-            self._mu[rows, i] = mu[:, i]
+        mu, scov = self._mu[rows], self._scov[:, rows]
+        for i in range(1 + self.n):
             v[i] -= u[:, i]
-        self._mu[rows, 0] += self.prior_mean
-        v /= lam
-        scov = self._scov[:, rows]
+            v[i] /= lam
+            mu[:, i] += v[i] * z_new
         for p, (i, j) in enumerate(self._pairs):
             scov[p] -= v[i] * v[j]
 
@@ -479,16 +476,6 @@ class CandidateEvaluator:
 
     def posterior_mean(self) -> np.ndarray:
         """Joint posterior mean per candidate, shape (N, 1 + n)."""
-        if not self._mu_fresh:
-            raw = self._terms.dot(self._X[:self._k], (self._alpha,), self._raw)
-
-            def finish(rows):
-                self._mu[rows] = self.kernel.finish_dot(
-                    self._terms.group(raw, 0, 1 + self.n, rows), self.cands[rows])
-                self._mu[rows, 0] += self.prior_mean
-
-            self._sweep(finish)
-            self._mu_fresh = True
         return self._mu
 
     def joint_cov(self, index: int) -> np.ndarray:

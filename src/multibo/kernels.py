@@ -24,9 +24,8 @@ thread), it relies on four methods that are plain numpy on the slices they
 are given:
 
 * ``fill_cross``: the cache rows of one sample against a candidate block;
-* ``joint_dot``: the raw GEMM columns of A(y) @ w for several weights;
-* ``finish_dot``: the gradient fixup that turns one group of them into
-  A(y) @ w;
+* ``joint_dot``: the raw GEMM columns of A(y) @ w for one weight w;
+* ``finish_dot``: the gradient fixup that turns them into A(y) @ w;
 * ``joint_column``: the joint kernel column [k(y, x); dk(y, x)/dy] of one
   sample over a candidate block.
 
@@ -147,23 +146,22 @@ class SquaredExponential:
         factors[0] *= self.alpha
         return factors
 
-    def dot_weights(self, X, weights):
-        """Weight columns [w, w x_r] of the raw GEMM for each weight w over the
-        samples ``X`` (k, n): column 0 of a group gives sum_r w_r k(y, x_r),
-        the rest give sum_r w_r x_r k(y, x_r)."""
-        return np.column_stack([col for w in weights for col in (w, w[:, None] * X)])
+    def dot_weights(self, X, w):
+        """Weight columns [w, w x_r] of the raw GEMM over the samples ``X``
+        (k, n): column 0 gives sum_r w_r k(y, x_r), the rest give
+        sum_r w_r x_r k(y, x_r)."""
+        return np.column_stack([w, w[:, None] * X])
 
-    def joint_dot(self, cache, X, weights, out):
-        """Raw GEMM columns for A(y) @ w over the candidates, one (1 + n)-column
-        group of ``out`` (m, len(weights) (1 + n)) per weight; ``cache`` holds
-        the cross rows (cross_rows, k, m) of the samples ``X`` (k, n). One
-        GEMM against ``dot_weights`` for all weights.
+    def joint_dot(self, cache, X, w, out):
+        """Raw GEMM columns for A(y) @ w over the candidates, written into
+        ``out`` (m, 1 + n); ``cache`` holds the cross rows (cross_rows, k, m)
+        of the samples ``X`` (k, n). One GEMM against ``dot_weights``.
         """
-        np.matmul(cache[0].T, self.dot_weights(X, weights), out=out)
+        np.matmul(cache[0].T, self.dot_weights(X, w), out=out)
         return out
 
     def finish_dot(self, out, Y):
-        """Turn one group of raw GEMM columns for candidates ``Y`` into A(y) @ w:
+        """Turn the raw GEMM columns for candidates ``Y`` into A(y) @ w:
         the gradient weight sum is (sum_r w_r x_r k - y sum_r w_r k) / l^2."""
         for d in range(Y.shape[1]):
             grad = out[:, 1 + d]
@@ -245,18 +243,16 @@ class Polynomial:
         cache[1] = p
         cache[0] = self.alpha_bar * p**2
 
-    def joint_dot(self, cache, X, weights, out):
+    def joint_dot(self, cache, X, w, out):
         """Raw GEMM columns for A(y) @ w over the candidates, as for
-        ``SquaredExponential``: column 0 of a group holds sum_r w_r k(y, x_r),
-        the rest hold sum_r w_r (y . x_r) x_r."""
-        width = 1 + X.shape[1]
-        for g, w in enumerate(weights):
-            np.matmul(cache[0].T, w[:, None], out=out[:, g * width:g * width + 1])
-            np.matmul(cache[1].T, w[:, None] * X, out=out[:, g * width + 1:(g + 1) * width])
+        ``SquaredExponential``: column 0 holds sum_r w_r k(y, x_r), the rest
+        hold sum_r w_r (y . x_r) x_r."""
+        np.matmul(cache[0].T, w[:, None], out=out[:, :1])
+        np.matmul(cache[1].T, w[:, None] * X, out=out[:, 1:])
         return out
 
     def finish_dot(self, out, Y):
-        """Turn one group of raw GEMM columns into A(y) @ w."""
+        """Turn the raw GEMM columns into A(y) @ w."""
         for d in range(Y.shape[1]):
             out[:, 1 + d] *= 2.0 * self.alpha_bar
         return out

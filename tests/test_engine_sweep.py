@@ -24,9 +24,9 @@ _rebuild_scov = CandidateEvaluator._rebuild_scov
 
 
 def _rebuild_in_default_blocks(evaluator):
-    # the covariance rebuild of a (re)fit blocks its triangular solves by
-    # _CHUNK too, and their rounding depends on the block bounds; holding it
-    # at the default isolates the sweep
+    # the rebuild of the covariances and the mean in a (re)fit blocks its
+    # triangular solves by _CHUNK too, and their rounding depends on the
+    # block bounds; holding it at the default isolates the sweep
     with mock.patch.object(engine, "_CHUNK", _DEFAULT_CHUNK):
         _rebuild_scov(evaluator)
 

@@ -9,7 +9,7 @@ from multibo.objectives import SyntheticBumps, griewank
 from multibo.optimizer import (
     OptimizerConfig, _feasible_mask, generate_candidates, propose_next, run,
 )
-from multibo import acquisition, gp
+from multibo import acquisition, engine, gp
 
 
 def base_config(**over):
@@ -282,6 +282,25 @@ def test_engine_append_matches_full_fit():
     assert np.allclose(inc.posterior_mean(), full.posterior_mean(), atol=1e-9)
     for i in range(0, 30, 5):
         assert np.allclose(inc.joint_cov(i), full.joint_cov(i), atol=1e-9)
+
+    # the mean is summed over appends: 40 of them on a 2-D grid, whose
+    # separable kernel keeps per-axis factors, still match a fresh fit
+    axes = [np.linspace(-2.0, 0.0, 21)] * 2
+    cands = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, 2)
+    rng = np.random.default_rng(3)
+    X = cands[rng.choice(len(cands), 43, replace=False)]
+    f = rng.standard_normal(43)
+    kern = SquaredExponential(10.0, 0.3)
+    inc = CandidateEvaluator(kern, cands, 0.5, capacity=4, axes=axes)
+    assert isinstance(inc._terms, engine._GridCross)
+    inc.fit(X[:3], f[:3])
+    for x, y in zip(X[3:], f[3:]):
+        inc.append(x, y)
+    full = CandidateEvaluator(kern, cands, 0.5, capacity=43, axes=axes)
+    full.fit(X, f)
+    assert inc.jitter == full.jitter == 0.0
+    np.testing.assert_allclose(inc.posterior_mean(), full.posterior_mean(), rtol=0, atol=1e-9)
+    np.testing.assert_allclose(inc._scov, full._scov, rtol=0, atol=1e-9)
 
 
 def test_engine_duplicate_append_triggers_refit_with_jitter():
