@@ -13,12 +13,13 @@ same improvement formulas to the unconditioned value marginal with no band
 factor, and ``derivative_only`` keeps the band factor alone.
 
 Every formula has one implementation, vectorised over N candidates. A batch
-is a joint mean of shape (N, 1 + n) and the joint covariances in packed
-form: one row per entry of the (1+n) x (1+n) upper triangle, in the order of
-``packed_pairs(n)``, shape ((1+n)(2+n)/2, N). The batched engine calls
-``values`` on blocks of its candidates; the scalar API (``evaluate``,
-``score``, ``condition_value_on_gradient`` and ``gradient_band_probability``)
-packs one ``gp.JointGaussian`` and makes an N = 1 call.
+is entry-major: joint means ``mean`` (1 + n, N), the value in row 0, and
+packed joint covariances ``packed`` (P, N), one row per entry of the
+(1+n) x (1+n) upper triangle in ``packed_pairs(n)`` order. The batched
+engine calls ``values`` on column blocks of its arrays; the scalar API
+(``evaluate``, ``score``, ``condition_value_on_gradient`` and
+``gradient_band_probability``) packs one ``gp.JointGaussian`` and makes an
+N = 1 call.
 
 Degenerate cases have one policy. A zero value std turns PI and EI into
 their limits (a step at the threshold, and max(mean - threshold, 0)); a zero
@@ -138,12 +139,12 @@ def band_probability(mean, packed, epsilon):
     The product of per-dimension marginals Q((-eps - mu_i) / s_i) -
     Q((eps - mu_i) / s_i), with ``s_i`` the marginal std.
     """
-    n = mean.shape[1] - 1
+    n = mean.shape[0] - 1
     pos = _position(n)
-    prob = np.ones(mean.shape[0])
+    prob = np.ones(mean.shape[1])
     for d in range(n):
         s = np.sqrt(np.maximum(packed[pos[(1 + d, 1 + d)]], 0.0))
-        mu_d = mean[:, 1 + d]
+        mu_d = mean[1 + d]
         safe = np.where(s > 0.0, s, 1.0)
         spread = _q((-epsilon - mu_d) / safe) - _q((epsilon - mu_d) / safe)
         prob *= np.where(s > 0.0, spread, (np.abs(mu_d) < epsilon).astype(float))
@@ -157,19 +158,19 @@ def condition_on_zero_gradient(mean, packed):
     mean     = mu_x - S_xy S_yy^-1 mu_y = mu_x - t . mu_y
     variance = S_xx - S_xy S_yy^-1 S_yx = S_xx - t . S_yx, clamped into [0, S_xx]
     """
-    n = mean.shape[1] - 1
+    n = mean.shape[0] - 1
     sxx = packed[0]
     t = _solve_gradient_block(packed, n)
     gain = np.zeros_like(sxx)
     shrink = np.zeros_like(sxx)
     for d in range(n):
-        gain += t[:, d] * mean[:, 1 + d]
-        shrink += packed[1 + d] * t[:, d]
-    return mean[:, 0] - gain, np.clip(sxx - shrink, 0.0, np.maximum(sxx, 0.0))
+        gain += t[d] * mean[1 + d]
+        shrink += packed[1 + d] * t[d]
+    return mean[0] - gain, np.clip(sxx - shrink, 0.0, np.maximum(sxx, 0.0))
 
 
 def _solve_gradient_block(packed, n):
-    """t = S_yy^-1 S_yx under the module's degenerate-case policy, (N, n):
+    """t = S_yy^-1 S_yx under the module's degenerate-case policy, (n, N):
     the adjugate over the determinant for n <= 4, batched LAPACK above."""
     N = packed.shape[1]
     pos = _position(n)
@@ -194,16 +195,16 @@ def _solve_gradient_block(packed, n):
         ok = np.abs(np.linalg.det(block)) > tiny
         block[~ok] = np.eye(n)  # an invertible stand-in, its solution unused
         exact = np.linalg.solve(block, sxy.T[:, :, None])[:, :, 0]
-        return np.where(ok[:, None], exact, (sxy / np.stack(dsafe)).T)
+        return np.where(ok, exact.T, sxy / np.stack(dsafe))
     adj, det = _cofactors(dsafe, syy)
     ok = np.abs(det) > tiny
     det_safe = np.where(ok, det, 1.0)
-    t = np.empty((N, n))
+    t = np.empty((n, N))
     for i in range(n):
         exact = adj[i][0] * sxy[0]
         for j in range(1, n):
             exact = exact + adj[i][j] * sxy[j]
-        t[:, i] = np.where(ok, exact / det_safe, sxy[i] / dsafe[i])
+        t[i] = np.where(ok, exact / det_safe, sxy[i] / dsafe[i])
     return t
 
 
@@ -259,12 +260,12 @@ def _cofactors(d, syy):
 
 def values(cfg: AcquisitionConfig, mean, packed) -> np.ndarray:
     """The configured family at N candidates with joint means ``mean``
-    (N, 1 + n) and packed joint covariances ``packed`` (P, N)."""
+    (1 + n, N) and packed joint covariances ``packed`` (P, N)."""
     if cfg.family in ("vanilla_pi", "vanilla_ei"):
         std = np.sqrt(np.maximum(packed[0], 0.0))
         if cfg.family == "vanilla_pi":
-            return improvement_probability(mean[:, 0], std, cfg.threshold)
-        return expected_improvement(mean[:, 0], std, cfg.threshold)
+            return improvement_probability(mean[0], std, cfg.threshold)
+        return expected_improvement(mean[0], std, cfg.threshold)
     band = band_probability(mean, packed, cfg.epsilon)
     if cfg.family == "derivative_only":
         return band
@@ -279,7 +280,7 @@ def values(cfg: AcquisitionConfig, mean, packed) -> np.ndarray:
 
 def score(j: gp.JointGaussian, cfg: AcquisitionConfig) -> float:
     """The configured family at one joint Gaussian."""
-    return float(values(cfg, j.mean[None, :], pack(j.cov))[0])
+    return float(values(cfg, j.mean[:, None], pack(j.cov))[0])
 
 
 def condition_value_on_gradient(j: gp.JointGaussian, g) -> ConditionalGaussian:
@@ -290,7 +291,7 @@ def condition_value_on_gradient(j: gp.JointGaussian, g) -> ConditionalGaussian:
     # pinning the gradient at g is pinning the shifted gradient (y - g) at 0
     mean = j.mean.astype(float)
     mean[1:] -= g
-    cond_mean, cond_var = condition_on_zero_gradient(mean[None, :], pack(j.cov))
+    cond_mean, cond_var = condition_on_zero_gradient(mean[:, None], pack(j.cov))
     return ConditionalGaussian(mean=float(cond_mean[0]), variance=float(cond_var[0]))
 
 
@@ -299,7 +300,7 @@ def gradient_band_probability(j: gp.JointGaussian, epsilon: float) -> float:
     (-epsilon, epsilon)."""
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    return float(band_probability(j.mean[None, :], pack(j.cov), epsilon)[0])
+    return float(band_probability(j.mean[:, None], pack(j.cov), epsilon)[0])
 
 
 def evaluate(state: gp.GPState, x, cfg: AcquisitionConfig) -> float:

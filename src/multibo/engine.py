@@ -20,20 +20,26 @@ covariance, so the append adds  v(x) z_new  for the new entry of z. The
 product A(x) c is one GEMM against the cross terms, so the per-iteration
 cost is O(N k) instead of O(N k^2).
 
+Every per-candidate array is entry-major, one row per joint entry and the
+candidates along the last axis: the packed covariances (P, N) in
+``acquisition.packed_pairs`` order, the mean (1 + n, N) and the append
+GEMM's output (1 + n, N). The optimum flag reads its gradient mean from
+that mean (``gradient_mean_at``); alpha = L^-T z is formed only in ``state``.
+
 The cross terms take one of two forms, chosen once from the input:
 
-* a dense cache (``_DenseCross``): ``cross_rows`` rows per sample against
-  every candidate, k x N, stored sample-major so the GEMM reads contiguous
-  memory; the GEMM writes a candidate-major N x (1 + n) output;
+* a dense cache (``_DenseCross``), (capacity, cross_rows, N):
+  ``cross_rows`` rows per sample against every candidate, so the GEMM reads
+  each row contiguously;
 * per-axis factors (``_GridCross``), when the candidates are a tensor grid
   with axes of lengths m_1, ..., m_n and the kernel is ``separable``: per
   sample, the outer product of its factors over the first n - 1 axes
   (M = N / m_n entries) and its factor over the last axis (m_n entries).
-  Each GEMM column is then one (M x k) @ (k x m_n) product written into an
-  entry-major output, and a kernel value at a candidate is the product of
-  two factor entries. On the 1,030,301-point 3-D grid that is k x 10,302
-  doubles instead of k x 1,030,301. The factors are used only where they
-  are the smaller form, so a 1-D grid keeps the dense cache.
+  Each GEMM output row is then one (M x k) @ (k x m_n) product, and a kernel
+  value at a candidate is the product of two factor entries. On the
+  1,030,301-point 3-D grid that is k x 10,302 doubles instead of
+  k x 1,030,301. The factors are used only where they are the smaller form,
+  so a 1-D grid keeps the dense cache.
 
 Both forms give the same posterior up to rounding: the kernel values and
 the order of the GEMM's sums differ in the last bits. The GEMM output is one
@@ -73,16 +79,15 @@ moving temporaries through memory, so every per-step pass (the dense
 cross rows of new samples, the gradient fixups, the covariance downdate
 and mean update with the new sample's joint column, and the whole
 acquisition) runs block by block instead: the candidates are split into
-equal blocks of at most ``_CHUNK`` (20,000) rows, whose temporaries stay in
-cache, and the blocks are spread over a module-level thread pool with one
-worker per CPU the process may run on (numpy releases the GIL inside its
-loops). A single block runs in the calling thread. BLAS calls stay on the
-calling thread: the GEMM of ``append`` (full width over a dense cache; one
-GEMM per output column over the factors, each writing a whole row of the
-output), and the triangular solves of ``fit``. OpenBLAS threads them
-itself, and running them inside the workers as well oversubscribes the
-cores. The new sample's
-factors are computed on the calling thread too; they are small. Workers
+equal blocks of at most ``_CHUNK`` (20,000) candidates, whose temporaries
+stay in cache, and the blocks are spread over a module-level thread pool with one worker per CPU the process
+may run on (numpy releases the GIL inside its loops). A single block runs
+in the calling thread. BLAS calls stay on the calling thread: the GEMM of
+``append`` (full width over a dense cache; one GEMM per output row over the
+factors), and the triangular solves of ``fit`` and ``state``. OpenBLAS
+threads them itself, and running them inside the workers as well
+oversubscribes the cores. The new sample's factors are computed on the
+calling thread too; they are small. Workers
 run numpy on slices of the cross terms and the GEMM output only: of the
 kernel they call ``fill_cross``, ``finish_dot`` and ``joint_column``,
 never ``eval_matrix``, ``grad_tensor`` or ``joint_blocks_batch``; over the
@@ -144,41 +149,32 @@ os.register_at_fork(after_in_child=_forget_pool)
 
 
 class _DenseCross:
-    """Cross terms as a dense cache ``cache`` (cross_rows, capacity, N):
-    sample-major, so [:, j] holds sample j's rows against all candidates and
-    the GEMMs see contiguous memory; row 0 is the kernel value. The GEMM
-    output is candidate-major."""
-
-    sample_axis = 1     # the axis of ``cache`` that indexes samples
+    """Cross terms as a dense cache ``cache`` (capacity, cross_rows, N):
+    [j] holds sample j's cache rows against every candidate, row 0 the
+    kernel value, so the GEMM reads each row contiguously."""
 
     def __init__(self, kernel, cands, cache, axes):
         self.kernel, self.cands, self.cache = kernel, cands, cache
 
     @staticmethod
     def shape(kernel, capacity, n_cand, axes):
-        return (kernel.cross_rows, capacity, n_cand)
-
-    def buffer(self, columns):
-        return np.empty((self.cands.shape[0], columns))
+        return (capacity, kernel.cross_rows, n_cand)
 
     def add(self, first, X, sweep):
         def fill(rows):
             for j, x in enumerate(X, first):
-                self.kernel.fill_cross(self.cache[:, j, rows], x, self.cands[rows])
+                self.kernel.fill_cross(self.cache[j, :, rows], x, self.cands[rows])
 
         sweep(fill)
 
     def dot(self, X, w, raw):
-        return self.kernel.joint_dot(self.cache[:, :X.shape[0]], X, w, out=raw)
-
-    def group(self, raw, rows):
-        return raw[rows]
+        return self.kernel.joint_dot(self.cache[:X.shape[0]], X, w, out=raw)
 
     def values(self, samples, rows):
-        return self.cache[0, samples, rows]
+        return self.cache[samples, 0, rows]
 
     def column(self, j, x, rows):
-        return self.kernel.joint_column(self.cache[:, j, rows], x, self.cands[rows])
+        return self.kernel.joint_column(self.cache[j, :, rows], x, self.cands[rows])
 
 
 class _GridCross:
@@ -188,10 +184,8 @@ class _GridCross:
     its factors over the first n - 1 axes (M entries), then its tail, its
     factor over the last axis (m entries): its kernel value at the grid
     point with index i' over the first n - 1 axes and i over the last is
-    head[r, i'] tail[r, i]. The GEMM output is entry-major, one contiguous
-    row per raw column, which one GEMM writes as an (M, m) block."""
-
-    sample_axis = 0
+    head[r, i'] tail[r, i]. One GEMM writes each row of the GEMM output as
+    an (M, m) block."""
 
     def __init__(self, kernel, cands, cache, axes):
         self.kernel, self.cands, self.axes = kernel, cands, axes
@@ -202,9 +196,6 @@ class _GridCross:
     def shape(kernel, capacity, n_cand, axes):
         m = len(axes[-1])
         return (capacity, n_cand // m + m)
-
-    def buffer(self, columns):
-        return np.empty((columns, self.cands.shape[0]))
 
     def add(self, first, X, sweep):
         for j, x in enumerate(X, first):
@@ -223,9 +214,6 @@ class _GridCross:
             np.matmul(head, W[:, c, None] * tail, out=raw[c].reshape(head.shape[0], -1))
         return raw
 
-    def group(self, raw, rows):
-        return raw[:, rows].T
-
     def values(self, samples, rows):
         # outer products over the grid rows the block touches, cut to the block
         m = self.tail.shape[1]
@@ -242,7 +230,8 @@ class CandidateEvaluator:
 
     ``axes``, when given, are the axes of the tensor grid the candidates
     enumerate in C order; with a separable kernel the cross terms are then
-    kept as per-axis factors instead of a dense cache.
+    kept as per-axis factors instead of a dense cache. The per-candidate
+    arrays ``_scov``, ``_mu`` and ``_raw`` are entry-major.
     """
 
     def __init__(self, kernel, candidates, prior_mean, capacity,
@@ -272,12 +261,12 @@ class CandidateEvaluator:
         self._L = np.zeros((self.capacity, self.capacity))
         self._k = 0
         self._jitter = 0.0
-        self._alpha = self._z = np.empty(0)
+        self._z = np.empty(0)
         # the cross terms' arrays are the evaluator's own, like every array it keeps
         self._cross = np.empty(shape)
         self._terms = terms(kernel, self.cands, self._cross, axes)
         # output of the GEMM A(x) c, reused by every append
-        self._raw = self._terms.buffer(1 + n)
+        self._raw = np.empty((1 + n, n_cand))
         self._scov = np.empty((len(self._pairs), n_cand))
         # a stationary kernel's blocks are candidate-independent; keep one column
         k0_val, k0_cross, k0_hess = kernel.joint_blocks_batch(
@@ -290,7 +279,7 @@ class CandidateEvaluator:
                 self._k0p[p] = k0_cross[:, j - 1]
             else:
                 self._k0p[p] = k0_hess[:, i - 1, j - 1]
-        self._mu = np.empty((n_cand, 1 + n))
+        self._mu = np.empty((1 + n, n_cand))
 
     def _cross_shape(self, capacity):
         """Shape of the cross terms at ``capacity`` samples; raises
@@ -316,8 +305,7 @@ class CandidateEvaluator:
         X, f, L = np.empty((capacity, self.n)), np.empty(capacity), np.zeros((capacity, capacity))
         X[:k], f[:k], L[:k, :k] = self._X[:k], self._f[:k], self._L[:k, :k]
         cross = np.empty(shape)
-        filled = (slice(None),) * self._terms_type.sample_axis + (slice(0, k),)
-        cross[filled] = self._cross[filled]
+        cross[:k] = self._cross[:k]
         self._X, self._f, self._L, self._cross = X, f, L, cross
         self._terms = self._terms_type(self.kernel, self.cands, cross, self._axes)
         self.capacity = capacity
@@ -362,16 +350,14 @@ class CandidateEvaluator:
         self._X[:k] = X
         self._f[:k] = f
         self._L[:k, :k] = factor.lower
-        self._refresh_alpha()
+        self._refresh_z()
         self._terms.add(0, X, self._sweep)
         self._rebuild_scov()
 
-    def _refresh_alpha(self):
-        """z = L^-1 (f - m), the mean's weights on the rows L^-1 A(x)^T, and
-        alpha = K^-1 (f - m) = L^-T z."""
+    def _refresh_z(self):
+        """z = L^-1 (f - m), the mean's weights on the rows L^-1 A(x)^T."""
         k = self._k
         self._z = solve_triangular(self._L[:k, :k], self._f[:k] - self.prior_mean, lower=True)
-        self._alpha = self._back_solve(self._z)
 
     def _back_solve(self, b):
         """x with L^T x = b for the filled k x k factor. A Fortran-ordered
@@ -396,8 +382,8 @@ class CandidateEvaluator:
             for p, (i, j) in enumerate(self._pairs):
                 k0 = self._k0p[p, block] if self._k0p.shape[1] > 1 else self._k0p[p, 0]
                 self._scov[p, block] = k0 - np.einsum("ak,ak->a", v[:, i, :], v[:, j, :])
-            np.einsum("aik,k->ai", v, self._z, out=self._mu[block])
-            self._mu[block, 0] += self.prior_mean
+            np.einsum("aik,k->ia", v, self._z, out=self._mu[:, block])
+            self._mu[0, block] += self.prior_mean
 
     def append(self, x_new, f_new):
         """Add one observation; falls back to a full refit when the factor degrades."""
@@ -428,7 +414,7 @@ class CandidateEvaluator:
         self._L[k, :k] = l_row
         self._L[k, k] = lam
         self._k = k + 1
-        self._refresh_alpha()
+        self._refresh_z()
         raw = self._terms.dot(self._X[:k], c, self._raw)
         self._sweep(lambda rows: self._downdate(rows, raw, x_new, lam, self._z[k]))
 
@@ -436,13 +422,13 @@ class CandidateEvaluator:
         """Finish the GEMM A(x) c for candidate ``rows`` into v(x) of the
         newest sample ``x_new``: add v z_new to the posterior mean and
         downdate the packed covariances by v v^T."""
-        u = self.kernel.finish_dot(self._terms.group(raw, rows), self.cands[rows])
+        u = self.kernel.finish_dot(raw[:, rows], self.cands[rows])
         v = self._terms.column(self._k - 1, x_new, rows)
-        mu, scov = self._mu[rows], self._scov[:, rows]
+        mu, scov = self._mu[:, rows], self._scov[:, rows]
         for i in range(1 + self.n):
-            v[i] -= u[:, i]
+            v[i] -= u[i]
             v[i] /= lam
-            mu[:, i] += v[i] * z_new
+            mu[i] += v[i] * z_new
         for p, (i, j) in enumerate(self._pairs):
             scov[p] -= v[i] * v[j]
 
@@ -456,11 +442,12 @@ class CandidateEvaluator:
     def jitter(self) -> float:
         return self._jitter
 
-    def gradient_mean_at(self, x) -> np.ndarray:
-        """Posterior-mean gradient at a single point (used by the optimum flag)."""
-        x = np.asarray(x, dtype=float).ravel()
-        g = self.kernel.grad_tensor(x[None, :], self._X[: self._k])[0]
-        return g.T @ self._alpha
+    def gradient_mean_at(self, index: int) -> np.ndarray:
+        """Posterior-mean gradient at candidate ``index``, shape (n,): the
+        optimum flag's input. A view of the posterior mean, kept as a method
+        because ``bench/tracer.py`` wraps it by name and its run workloads
+        require that layer."""
+        return self._mu[1:, index]
 
     def state(self) -> GPState:
         """Snapshot of the current fit as an immutable GPState."""
@@ -471,12 +458,13 @@ class CandidateEvaluator:
             prior_mean=self.prior_mean,
             kernel=self.kernel,
             factor=CholeskyFactor(lower=self._L[:k, :k].copy(), jitter=self._jitter),
-            alpha_vec=self._alpha.copy(),
+            alpha_vec=self._back_solve(self._z),
         )
 
     def posterior_mean(self) -> np.ndarray:
-        """Joint posterior mean per candidate, shape (N, 1 + n)."""
-        return self._mu
+        """Joint posterior mean per candidate, shape (N, 1 + n): a view of
+        the entry-major mean."""
+        return self._mu.T
 
     def joint_cov(self, index: int) -> np.ndarray:
         """Unpacked joint covariance of one candidate (testing hook)."""
@@ -487,11 +475,10 @@ class CandidateEvaluator:
 
     def acquisition_values(self, cfg) -> np.ndarray:
         """Acquisition of the configured family at every candidate."""
-        mu = self.posterior_mean()
         out = np.empty(self.cands.shape[0])
 
         def acquire(rows):
-            out[rows] = acquisition.values(cfg, mu[rows], self._scov[:, rows])
+            out[rows] = acquisition.values(cfg, self._mu[:, rows], self._scov[:, rows])
 
         self._sweep(acquire)
         return out

@@ -21,20 +21,22 @@ against every candidate and learns from ``stationary`` whether the joint
 prior block K0(y) is the same at every candidate. Besides ``eval_matrix``,
 ``grad_tensor`` and ``joint_blocks_batch`` (which it calls on its own
 thread), it relies on four methods that are plain numpy on the slices they
-are given:
+are given, all entry-major like the engine's arrays:
 
-* ``fill_cross``: the cache rows of one sample against a candidate block;
-* ``joint_dot``: the raw GEMM columns of A(y) @ w for one weight w;
-* ``finish_dot``: the gradient fixup that turns them into A(y) @ w;
+* ``fill_cross``: the cache rows (cross_rows, m) of one sample against a
+  candidate block;
+* ``joint_dot``: the raw GEMM rows (1 + n, m) of A(y) @ w for one weight w,
+  from the cache (k, cross_rows, m) of k samples;
+* ``finish_dot``: the gradient fixup that turns those rows into A(y) @ w;
 * ``joint_column``: the joint kernel column [k(y, x); dk(y, x)/dy] of one
-  sample over a candidate block.
+  sample over a candidate block, (1 + n, m).
 
 A kernel with ``separable`` set is a product of one factor per axis, so on a
 tensor grid of candidates the engine keeps per-axis factors instead of the
 cache rows. It has one cache row (the kernel value), and two more methods:
 
 * ``axis_factors``: the factors of one sample over the grid's axes;
-* ``dot_weights``: the weight columns W of the raw GEMM, whose column c
+* ``dot_weights``: the weight columns W of the raw GEMM, whose output row c
   holds sum_r W[r, c] k(y, x_r) (``joint_dot`` is one GEMM against them).
 
 Sums over dimensions run column by column, in ``np.sum``'s order: a 2-D op
@@ -153,19 +155,20 @@ class SquaredExponential:
         return np.column_stack([w, w[:, None] * X])
 
     def joint_dot(self, cache, X, w, out):
-        """Raw GEMM columns for A(y) @ w over the candidates, written into
-        ``out`` (m, 1 + n); ``cache`` holds the cross rows (cross_rows, k, m)
+        """Raw GEMM rows for A(y) @ w over the candidates, written into
+        ``out`` (1 + n, m); ``cache`` holds the cross rows (k, cross_rows, m)
         of the samples ``X`` (k, n). One GEMM against ``dot_weights``.
         """
-        np.matmul(cache[0].T, self.dot_weights(X, w), out=out)
+        np.matmul(self.dot_weights(X, w).T, cache[:, 0], out=out)
         return out
 
     def finish_dot(self, out, Y):
-        """Turn the raw GEMM columns for candidates ``Y`` into A(y) @ w:
-        the gradient weight sum is (sum_r w_r x_r k - y sum_r w_r k) / l^2."""
+        """Turn the raw GEMM rows ``out`` (1 + n, m) for candidates ``Y``
+        into A(y) @ w: the gradient weight sum is
+        (sum_r w_r x_r k - y sum_r w_r k) / l^2."""
         for d in range(Y.shape[1]):
-            grad = out[:, 1 + d]
-            grad -= Y[:, d] * out[:, 0]
+            grad = out[1 + d]
+            grad -= Y[:, d] * out[0]
             grad /= self.length_scale**2
         return out
 
@@ -244,17 +247,17 @@ class Polynomial:
         cache[0] = self.alpha_bar * p**2
 
     def joint_dot(self, cache, X, w, out):
-        """Raw GEMM columns for A(y) @ w over the candidates, as for
-        ``SquaredExponential``: column 0 holds sum_r w_r k(y, x_r), the rest
+        """Raw GEMM rows for A(y) @ w over the candidates, as for
+        ``SquaredExponential``: row 0 holds sum_r w_r k(y, x_r), the rest
         hold sum_r w_r (y . x_r) x_r."""
-        np.matmul(cache[0].T, w[:, None], out=out[:, :1])
-        np.matmul(cache[1].T, w[:, None] * X, out=out[:, 1:])
+        np.matmul(w[None, :], cache[:, 0], out=out[:1])
+        np.matmul((w[:, None] * X).T, cache[:, 1], out=out[1:])
         return out
 
     def finish_dot(self, out, Y):
-        """Turn the raw GEMM columns into A(y) @ w."""
+        """Turn the raw GEMM rows into A(y) @ w."""
         for d in range(Y.shape[1]):
-            out[:, 1 + d] *= 2.0 * self.alpha_bar
+            out[1 + d] *= 2.0 * self.alpha_bar
         return out
 
     def joint_column(self, cache, x, Y):

@@ -12,7 +12,8 @@ A step is flagged as a located optimum when the conditions its acquisition
 family actually reasons about hold at the sampled point: families using the
 value posterior require the observed value to reach the improvement
 threshold, and families using the gradient band require the posterior-mean
-gradient norm to fall within the band half-width.
+gradient norm to fall within the band half-width. That gradient mean is the
+evaluator's own, at the sampled candidate after the observation is added.
 """
 
 from __future__ import annotations
@@ -404,7 +405,7 @@ def run(objective, cfg: OptimizerConfig, truths=None) -> RunTrace:
         if acq_cfg.uses_value:
             flag = flag and value >= acq_cfg.threshold
         if acq_cfg.uses_band:
-            grad = evaluator.gradient_mean_at(point)
+            grad = evaluator.gradient_mean_at(idx)
             flag = flag and float(np.linalg.norm(grad)) <= acq_cfg.epsilon
         records.append(StepRecord(
             step=t, kind="bo", point=point, value=value,

@@ -303,7 +303,7 @@ def test_singular_gradient_blocks_take_the_diagonal_fallback():
             batch.append(gp.JointGaussian(rng.standard_normal(1 + n), a @ a.T + 0.3 * np.eye(1 + n)))
         batch.insert(3, j)
         got_mean, got_var = condition_on_zero_gradient(
-            np.array([b.mean for b in batch]), np.hstack([pack(b.cov) for b in batch]))
+            np.array([b.mean for b in batch]).T, np.hstack([pack(b.cov) for b in batch]))
         for i, b in enumerate(batch):
             one = condition_value_on_gradient(b, np.zeros(n))
             assert (got_mean[i], got_var[i]) == (one.mean, one.variance)
@@ -322,7 +322,7 @@ def _gradient_solve(syy, sxy):
     cov[1:, 1:] = syy
     scale = max(np.diag(syy).max(), 0.0)
     dsafe = np.maximum(np.diag(syy), 1e-12 * max(scale, 1.0))
-    return _solve_gradient_block(pack(cov), n)[0], dsafe, 1e-12 * max(scale, 1.0) ** n
+    return _solve_gradient_block(pack(cov), n)[:, 0], dsafe, 1e-12 * max(scale, 1.0) ** n
 
 
 @settings(max_examples=300, deadline=None)

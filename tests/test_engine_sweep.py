@@ -177,7 +177,7 @@ def test_outputs_do_not_depend_on_the_capacity(kernel, n):
     X, f = rng.uniform(-1.0, 1.0, (6, n)), rng.standard_normal(6)
     for fitted in (6, 2):
         full, half = (_filled(kernel, cands, X, f, capacity, fitted) for capacity in (6, 12))
-        np.testing.assert_array_equal(full._alpha, half._alpha)
+        np.testing.assert_array_equal(full.state().alpha_vec, half.state().alpha_vec)
         np.testing.assert_array_equal(full.posterior_mean(), half.posterior_mean())
         np.testing.assert_array_equal(full._scov, half._scov)
         for family in FAMILIES:

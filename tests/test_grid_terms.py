@@ -114,7 +114,7 @@ def _smallest_std(mean, cov):
     component's (a tiny floor where one vanishes)."""
     n = mean.shape[1] - 1
     pairs = packed_pairs(n)
-    _, cond_var = condition_on_zero_gradient(mean, cov)
+    _, cond_var = condition_on_zero_gradient(mean.T, cov)
     variances = [cov[0], cond_var] + [cov[pairs.index((d, d))] for d in range(1, n + 1)]
     return np.sqrt(np.maximum(np.minimum.reduce(variances), 1e-300))
 

@@ -214,19 +214,51 @@ def test_run_rejects_non_finite_objective():
         run(lambda x: float("nan"), cfg)
 
 
+def _reference_flags(trace, cfg):
+    """Check each BO step's flag against the one rebuilt from the scalar
+    ``gp.joint_posterior`` on the samples up to and including that step, and
+    return how many steps were checked: a step whose gradient norm lies
+    within 1e-8 relative of epsilon is skipped, as rounding may put it on
+    either side."""
+    acq = cfg.acquisition
+    points = trace.points()
+    values = np.array([s.value for s in trace.steps])
+    n_priors = len(trace.points("prior"))
+    checked = 0
+    for t, s in enumerate(trace.bo_steps(), 1):
+        flag = not acq.uses_value or s.value >= acq.threshold
+        if acq.uses_band:
+            k = n_priors + t
+            state = gp.fit(points[:k], values[:k], cfg.prior_mean, cfg.kernel,
+                           jitter_schedule=(trace.jitter,))
+            norm = np.linalg.norm(gp.joint_posterior(state, s.point).mean[1:])
+            if abs(norm - acq.epsilon) <= 1e-8 * acq.epsilon:
+                continue
+            flag = flag and norm <= acq.epsilon
+        assert s.flagged == flag, (acq.family, s.step)
+        checked += 1
+    return checked
+
+
 def test_run_flags_require_family_conditions():
-    # derivative-only flags ignore the threshold; value families require it
+    # derivative-only flags ignore the threshold; value families require it;
+    # the band families flag on the posterior gradient mean at the new sample
     fn = SyntheticBumps()
-    cfg_d = base_config(budget=10, acquisition=AcquisitionConfig("derivative_only", 0.0, 0.25),
-                        grid_counts=(100,), seed=8)
-    trace = run(fn, cfg_d)
-    for s in trace.flagged():
-        assert s.kind == "bo"
-    cfg_v = base_config(budget=10, acquisition=AcquisitionConfig("vanilla_pi", 0.6, 0.1),
-                        grid_counts=(100,), seed=8)
-    trace_v = run(fn, cfg_v)
-    for s in trace_v.flagged():
-        assert s.value >= 0.6
+    checked = {}
+    for family, threshold, epsilon in [("derivative_only", 0.0, 0.25), ("vanilla_pi", 0.6, 0.1),
+                                       ("joint_pi", 0.6, 0.25), ("joint_ei", 0.6, 0.25)]:
+        cfg = base_config(budget=15, acquisition=AcquisitionConfig(family, threshold, epsilon),
+                          grid_counts=(100,), seed=8)
+        trace = run(fn, cfg)
+        # no refit raised the jitter, so every step's posterior is at this one
+        assert trace.jitter == cfg.jitter_schedule[0]
+        assert any(s.flagged for s in trace.bo_steps())
+        for s in trace.flagged():
+            assert s.kind == "bo"
+            if cfg.acquisition.uses_value:
+                assert s.value >= threshold
+        checked[family] = _reference_flags(trace, cfg)
+    assert checked == dict.fromkeys(checked, 15)
 
 
 def test_run_distance_column_against_truths():
@@ -314,13 +346,23 @@ def test_engine_duplicate_append_triggers_refit_with_jitter():
 
 
 def test_engine_gradient_mean_matches_joint_posterior():
+    # the flag's gradient mean at every candidate, on both cross-term forms,
+    # after a fit and several appends
     rng = np.random.default_rng(2)
-    X = rng.uniform(-1, 1, (5, 2))
-    f = rng.standard_normal(5)
+    X = rng.uniform(-1, 1, (8, 2))
+    f = rng.standard_normal(8)
     kern = SquaredExponential(1.0, 0.5)
-    ev = CandidateEvaluator(kern, np.zeros((1, 2)), 0.0, capacity=6)
-    ev.fit(X, f)
-    x = np.array([0.3, -0.4])
-    g = ev.gradient_mean_at(x)
-    j = gp.joint_posterior(ev.state(), x)
-    assert np.allclose(g, j.mean[1:], rtol=1e-10)
+    axes = (np.linspace(-1, 1, 6), np.linspace(-0.8, 0.9, 7))
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+    for cands, grid_axes, form in [(grid, axes, engine._GridCross),
+                                   (rng.uniform(-1, 1, (40, 2)), None, engine._DenseCross)]:
+        ev = CandidateEvaluator(kern, cands, 0.2, capacity=8, axes=grid_axes)
+        assert isinstance(ev._terms, form)
+        ev.fit(X[:4], f[:4])
+        for x, y in zip(X[4:], f[4:]):
+            ev.append(x, y)
+        state = ev.state()
+        for i, x in enumerate(cands):
+            g = ev.gradient_mean_at(i)
+            j = gp.joint_posterior(state, x)
+            assert np.allclose(g, j.mean[1:], rtol=1e-10)
