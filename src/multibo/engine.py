@@ -73,32 +73,45 @@ same call with one candidate.
 
 Candidate sweep
 ---------------
-Apart from the GEMMs, the per-step work is elementwise numpy over the
-candidates. At a million candidates, full-width passes spend their time
-moving temporaries through memory, so every per-step pass (the dense
-cross rows of new samples, the gradient fixups, the covariance downdate
-and mean update with the new sample's joint column, and the whole
-acquisition) runs block by block instead: the candidates are split into
-equal blocks of at most ``_CHUNK`` (20,000) candidates, whose temporaries
-stay in cache, and the blocks are spread over a module-level thread pool with one worker per CPU the process
-may run on (numpy releases the GIL inside its loops). A single block runs
-in the calling thread. BLAS calls stay on the calling thread: the GEMM of
-``append`` (full width over a dense cache; one GEMM per output row over the
-factors), and the triangular solves of ``fit`` and ``state``. OpenBLAS
-threads them itself, and running them inside the workers as well
-oversubscribes the cores. The new sample's factors are computed on the
-calling thread too; they are small. Workers
-run numpy on slices of the cross terms and the GEMM output only: of the
-kernel they call ``fill_cross``, ``finish_dot`` and ``joint_column``,
-never ``eval_matrix``, ``grad_tensor`` or ``joint_blocks_batch``; over the
-factors they form kernel values for their block as products of factor
-entries. They call ``acquisition.values``, which uses nothing
-in ``gp`` and, of ``numerics``, only the private Gaussian tail and
-density; for n <= 4 it is elementwise numpy too, and for n >= 5 its
-gradient solve calls numpy's batched LAPACK in the workers. So anything
-that wraps the kernel's matrix methods or the public ``gp`` and
-``numerics`` functions sees calls from one thread. No arithmetic
-of the per-step sweep depends on the block bounds, so what ``append`` and
+The engine owns the cores. Apart from the BLAS calls, the per-step work is
+elementwise numpy over the candidates. At a million candidates, full-width
+passes spend their time moving temporaries through memory, so every
+per-step pass (the dense cross rows of new samples, the gradient fixups,
+the covariance downdate and mean update with the new sample's joint
+column, and the whole acquisition) runs block by block instead: the
+candidates are split into equal blocks of at most ``_CHUNK`` (20,000)
+candidates, whose temporaries stay in cache, and the blocks are spread over
+a module-level thread pool with one worker per CPU the process may run on
+(numpy releases the GIL inside its loops). Over the factors, the append
+GEMM's 1 + n output rows are independent (M x k) @ (k x m_n) products, and
+they are spread over the same pool. Where the candidates fit in one block,
+everything runs in the calling thread.
+
+OpenBLAS would thread its calls too, and its threads and the pool's workers
+then contend for the same cores: its idle threads keep spinning after a
+call and slow the sweep that follows, which makes no BLAS call at all. So
+importing this module pins every OpenBLAS the process has loaded (numpy's
+and scipy's copies are found in ``/proc/self/maps``) to one thread, once,
+through whichever of ``scipy_openblas_set_num_threads64_``,
+``scipy_openblas_set_num_threads`` and ``openblas_set_num_threads`` the
+library exports. The pin is not toggled around calls, which would race
+between threads, and forked children inherit it. Without procfs, an
+OpenBLAS or such a setter, nothing is pinned.
+
+The remaining BLAS calls (the dense cache's GEMM, full width, and the
+triangular solves of ``fit`` and ``state``) run on the calling thread. The
+new sample's factors are computed on the calling thread too; they are
+small. Workers run numpy on slices of the cross terms and the GEMM output
+only: of the kernel they call ``fill_cross``, ``finish_dot`` and
+``joint_column``, never ``eval_matrix``, ``grad_tensor`` or
+``joint_blocks_batch``; over the factors they form kernel values for their
+block as products of factor entries. They call ``acquisition.values``,
+which uses nothing in ``gp`` and, of ``numerics``, only the private
+Gaussian tail and density; for n <= 4 it is elementwise numpy too, and for
+n >= 5 its gradient solve calls numpy's batched LAPACK in the workers. So
+anything that wraps the kernel's matrix methods or the public ``gp`` and
+``numerics`` functions sees calls from one thread. No arithmetic of the
+per-step sweep depends on the block bounds, so what ``append`` and
 ``acquisition_values`` compute does not depend on the block size or the
 worker count. A full rebuild does depend on them: ``fit`` rebuilds the
 packed covariances and the mean in ``_CHUNK``-row blocks, and the rounding
@@ -109,6 +122,7 @@ when ``_CHUNK`` changes.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import threading
@@ -147,6 +161,35 @@ def _forget_pool():
 
 os.register_at_fork(after_in_child=_forget_pool)
 
+# thread-count setters of OpenBLAS builds: numpy's (64-bit integers), scipy's, plain
+_BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                 "openblas_set_num_threads")
+
+
+def _openblas_libraries():
+    """Paths of the OpenBLAS libraries loaded in this process; none without procfs."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            return sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return []
+
+
+def _pin_blas(libraries):
+    """Set each of ``libraries`` to one thread through the first setter of
+    ``_BLAS_SETTERS`` it exports; a library without one is left alone."""
+    for path in libraries:
+        lib = ctypes.CDLL(path)
+        for symbol in _BLAS_SETTERS:
+            setter = getattr(lib, symbol, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                break
+
+
+_pin_blas(_openblas_libraries())
+
 
 class _DenseCross:
     """Cross terms as a dense cache ``cache`` (capacity, cross_rows, N):
@@ -167,7 +210,7 @@ class _DenseCross:
 
         sweep(fill)
 
-    def dot(self, X, w, raw):
+    def dot(self, X, w, raw, spread):
         return self.kernel.joint_dot(self.cache[:X.shape[0]], X, w, out=raw)
 
     def values(self, samples, rows):
@@ -206,12 +249,15 @@ class _GridCross:
             self.head[j] = head
             self.tail[j] = factors[-1]
 
-    def dot(self, X, w, raw):
+    def dot(self, X, w, raw, spread):
         k = X.shape[0]
         head, tail = self.head[:k].T, self.tail[:k]
         W = self.kernel.dot_weights(X, w)
-        for c in range(W.shape[1]):
+
+        def product(c):
             np.matmul(head, W[:, c, None] * tail, out=raw[c].reshape(head.shape[0], -1))
+
+        spread(product, range(W.shape[1]))
         return raw
 
     def values(self, samples, rows):
@@ -328,10 +374,15 @@ class CandidateEvaluator:
         """``fn(rows)`` for each block of candidate rows; results in block order."""
         n_cand = self.cands.shape[0]
         count = -(-n_cand // _CHUNK)
-        if count <= 1:
-            return [fn(slice(0, n_cand))]
-        blocks = [slice(b * n_cand // count, (b + 1) * n_cand // count) for b in range(count)]
-        return list(_executor().map(fn, blocks))
+        return self._spread(fn, [slice(b * n_cand // count, (b + 1) * n_cand // count)
+                                 for b in range(count)])
+
+    def _spread(self, fn, items):
+        """``fn(item)`` for each of ``items``, results in order: on the pool
+        when the candidates span more than one block, else in this thread."""
+        if self.cands.shape[0] <= _CHUNK:
+            return [fn(item) for item in items]
+        return list(_executor().map(fn, items))
 
     # -- fitting -------------------------------------------------------------
 
@@ -415,7 +466,7 @@ class CandidateEvaluator:
         self._L[k, k] = lam
         self._k = k + 1
         self._refresh_z()
-        raw = self._terms.dot(self._X[:k], c, self._raw)
+        raw = self._terms.dot(self._X[:k], c, self._raw, self._spread)
         self._sweep(lambda rows: self._downdate(rows, raw, x_new, lam, self._z[k]))
 
     def _downdate(self, rows, raw, x_new, lam, z_new):

@@ -7,7 +7,8 @@ workload whose n = 3 closed-form gradient solve meets that reference, and
 ``asktell-4d`` the one whose n = 4 closed-form solve does. The dense reference
 has tests of its own under ``bench/``, run here as well. Two workloads also
 run with ``--trace 1``, which checks that the program still reaches every
-layer the benchmark times.
+layer the benchmark times. Every run reports one OpenBLAS thread: importing
+the engine pins it, before the workload starts.
 """
 
 import json
@@ -34,7 +35,9 @@ def test_bench_workload_runs_and_checks_out(workload):
             cwd=ROOT, capture_output=True, text=True, timeout=900,
         )
         assert proc.returncode == 0, proc.stderr
-        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        info, result = map(json.loads, proc.stdout.strip().splitlines()[-2:])
+        # the engine pins OpenBLAS to one thread, so the workload runs with one
+        assert info["blas_threads"] == 1, info
         assert result["correct"] is True, proc.stdout
         assert result["failed"] == 0, proc.stdout
         assert result["attempted"] > 0

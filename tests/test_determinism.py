@@ -2,10 +2,12 @@
 
 Each config runs twice, each time in a fresh interpreter: once on one CPU
 with one OpenBLAS thread (so the engine's candidate sweep has one worker),
-and once at the defaults. The two ``trace.csv`` files must be equal byte for
-byte. Both configs have more candidates than one sweep block, so the default
-run splits the sweep across the block pool when the machine has two or more
-CPUs.
+and once at the defaults. Importing the engine pins OpenBLAS to one thread
+on both sides, so the two runs differ only in the sweep's worker count. The
+two ``trace.csv`` files must be equal byte for byte. Both configs have more
+candidates than one sweep block, so the default run splits the sweep, and
+on the grid the append GEMM's output rows, across the pool when the machine
+has two or more CPUs.
 """
 
 import os

@@ -1,9 +1,14 @@
-"""The blocked candidate sweep, capacity, the memory preflight and the
-feasibility mask."""
+"""The blocked candidate sweep, the BLAS thread pin, capacity, the memory
+preflight and the feasibility mask."""
 
+import ctypes.util
+import json
 import multiprocessing
+import os
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -133,6 +138,44 @@ def test_a_forked_child_gets_a_fresh_pool():
         child.kill()
         child.join(10)
     assert not child.is_alive()
+
+
+# the thread count of every OpenBLAS loaded after ``import multibo``
+BLAS_THREADS = """
+import ctypes, json
+import multibo
+with open("/proc/self/maps", encoding="utf-8") as fh:
+    paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+counts = {}
+for path in paths:
+    for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                   "openblas_get_num_threads"):
+        getter = getattr(ctypes.CDLL(path), symbol, None)
+        if getter is not None:
+            getter.restype = ctypes.c_int
+            counts[path] = getter()
+            break
+print(json.dumps(counts))
+"""
+
+
+def test_importing_multibo_pins_every_openblas_to_one_thread():
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", BLAS_THREADS], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    counts = json.loads(proc.stdout)
+    if not counts:
+        pytest.skip("no OpenBLAS with a thread-count getter is loaded")
+    assert counts == {path: 1 for path in counts}
+
+
+def test_the_blas_pin_leaves_libraries_without_a_setter_alone(capfd):
+    # the C maths library exports no OpenBLAS setter
+    engine._pin_blas([ctypes.util.find_library("m")])
+    engine._pin_blas([])
+    assert capfd.readouterr() == ("", "")
 
 
 def test_n4_gradient_solve_does_not_depend_on_the_block_size():

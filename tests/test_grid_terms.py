@@ -3,14 +3,16 @@
 On a tensor grid of candidates a separable kernel's cross terms are kept as
 per-axis factors instead of a dense cache, and a new sample clears the
 feasibility mask only inside the index box within ``min_distance`` of it.
-These tests pin both against the dense paths they replace, and the memory
-the grid representation saves.
+These tests pin both against the dense paths they replace, the memory the
+grid representation saves, and the grid GEMM's output rows computed on the
+sweep pool against the same products one after another.
 """
 
 import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -230,3 +232,33 @@ def test_stationary_prior_block_is_computed_from_one_candidate():
     want = [alpha, 0, 0, 0, alpha / l2, 0, 0, alpha / l2, 0, alpha / l2]
     np.testing.assert_array_equal(ev._k0p[:, 0], want)
     assert ev._k0p.shape == (10, 1)
+
+
+@pytest.mark.parametrize("counts", [(250, 250), (40, 40, 40), (16, 16, 16, 16)],
+                         ids=["n2", "n3", "n4"])
+def test_pooled_grid_gemm_matches_the_one_thread_loop(counts):
+    # each grid spans several sweep blocks, so the GEMM's output rows run on
+    # the pool; a capacity of 2 doubles twice on the way to k = 5
+    n = len(counts)
+    axes = [np.linspace(-2.0, 2.0, c) for c in counts]
+    cands = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, n)
+    assert len(cands) > 3 * engine._CHUNK
+    rng = np.random.default_rng(n)
+    X, f = rng.uniform(-2.0, 2.0, (5, n)), rng.standard_normal(5)
+    ev = CandidateEvaluator(SquaredExponential(1.5, 0.7), cands, 0.0, capacity=2, axes=axes)
+    assert isinstance(ev._terms, engine._GridCross)
+    ev.fit(X[:1], f[:1])
+    for k in range(1, 6):
+        if k > 1:
+            ev.append(X[k - 1], f[k - 1])
+        w = rng.standard_normal(k)
+        with mock.patch.object(engine, "_executor", wraps=engine._executor) as pool:
+            got = ev._terms.dot(ev._X[:k], w, np.empty_like(ev._raw), ev._spread).copy()
+        pool.assert_called()
+        head, tail = ev._terms.head[:k].T, ev._terms.tail[:k]
+        W = ev.kernel.dot_weights(ev._X[:k], w)
+        want = np.empty_like(got)
+        for c in range(W.shape[1]):
+            np.matmul(head, W[:, c, None] * tail, out=want[c].reshape(head.shape[0], -1))
+        np.testing.assert_array_equal(got, want, err_msg=f"k = {k}")
+    assert ev.capacity == 8
