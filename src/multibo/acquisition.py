@@ -12,6 +12,25 @@ of the band, which is narrow by construction. The vanilla families apply the
 same improvement formulas to the unconditioned value marginal with no band
 factor, and ``derivative_only`` keeps the band factor alone.
 
+``values`` is ``improvement_factor`` (the PI or EI factor, 1 for
+``derivative_only``) times ``band_probability`` for the families with a
+band, and the factor alone for the vanilla ones.
+
+``band_bound`` bounds the computed band from above without an erfc: per
+dimension, the band's mass is at most its width 2 epsilon times the peak
+density over it, phi(t) / s_i, with t = max(|mu_i| - epsilon, 0) / s_i, and
+at most the tail beyond its nearer edge, Q(t) <= phi(t) / t. Where
+epsilon << s_i the first is tight; where the mean sits many s_i outside the
+band the second is, and both are then tiny, so max(factor, 0) times the
+bound rules out almost every candidate of a sweep. It is safe because it
+bounds the computed band, not only the exact one: a relative and an
+absolute slack exceed the rounding of the _q differences and of the bound
+itself, a dimension without a positive variance (the indicator branch)
+contributes 1, and it is NaN exactly where the band is. It reads only the
+gradient means and variances, never the conditional solve, so it does not
+depend on the degenerate-case policy below. Rounding is monotone, so
+factor * band <= max(factor, 0) * bound holds for the computed values too.
+
 Every formula has one implementation, vectorised over N candidates. A batch
 is entry-major: joint means ``mean`` (1 + n, N), the value in row 0, and
 packed joint covariances ``packed`` (P, N), one row per entry of the
@@ -47,7 +66,7 @@ import numpy as np
 
 from . import gp
 from .errors import ConfigError, DimensionMismatch
-from .numerics import _phi, _q
+from .numerics import _INV_SQRT_2PI, _phi, _q
 
 FAMILIES = ("joint_pi", "joint_ei", "vanilla_pi", "vanilla_ei", "derivative_only")
 
@@ -151,6 +170,54 @@ def band_probability(mean, packed, epsilon):
     return np.clip(prob, 0.0, 1.0)
 
 
+# Slack of ``band_bound`` over the exact bound. Absolute: each _q in
+# ``band_probability`` carries an absolute error of a few ulps of 1 (erfc's
+# own error, and its argument's rounding times |z| phi(z) <= 0.25), and
+# where mu_i >> epsilon both _q terms sit near 1, so their difference keeps
+# that error however small the band is; 1e-14 is over 40 ulps of 1.
+# Relative: the bound's own rounding, a few ulps times 1 + t^2 in phi(t),
+# where t <= 38.6 before phi underflows (below 4e-13), plus the n-fold
+# products of both sides.
+_BOUND_REL = 1e-12
+_BOUND_ABS = 1e-14
+
+
+def band_bound(mean, packed, epsilon):
+    """An upper bound on the computed ``band_probability``, elementwise, from
+    one density term per dimension and no erfc.
+
+    Per dimension, with t = max(|mu_i| - epsilon, 0) / s_i the distance from
+    the mean to the band in standard deviations, the band's mass is at most
+    its width times the density's peak over it, phi(t) 2 epsilon / s_i, and
+    at most the Gaussian tail beyond its nearer edge, Q(t) <= phi(t) / t
+    (the Mills ratio). A dimension without a positive variance (the
+    indicator branch) contributes 1. NaN stays wherever the band is NaN.
+    """
+    n = mean.shape[0] - 1
+    pos = _position(n)
+    bound = np.ones(mean.shape[1])
+    peak = (1.0 + _BOUND_REL) * _INV_SQRT_2PI
+    # in place: the engine calls this on every candidate of every step
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for d in range(n):
+            var = packed[pos[(1 + d, 1 + d)]]
+            s = np.sqrt(var)  # NaN where var < 0, which takes the indicator's 1 below
+            t = np.abs(mean[1 + d])
+            t -= epsilon
+            np.maximum(t, 0.0, out=t)
+            t /= s
+            b = np.divide(2.0 * epsilon, s)
+            np.minimum(b, np.reciprocal(t), out=b)
+            density = np.square(t)
+            density *= -0.5
+            b *= np.exp(density, out=density)
+            b *= peak
+            b += _BOUND_ABS
+            np.minimum(b, 1.0, out=b)
+            bound *= np.where(var > 0.0, b, 1.0)
+    return bound
+
+
 def condition_on_zero_gradient(mean, packed):
     """Value mean and variance conditioned on a zero gradient, from one
     solve t = S_yy^-1 S_yx per candidate:
@@ -182,9 +249,10 @@ def _solve_gradient_block(packed, n):
     scale = d[0].copy()
     for i in range(1, n):
         np.maximum(scale, d[i], out=scale)
-    floor = 1e-12 * np.maximum(scale, 1.0)
+    big = np.maximum(scale, 1.0)
+    floor = 1e-12 * big
     dsafe = [np.maximum(d[i], floor) for i in range(n)]
-    tiny = 1e-12 * np.maximum(scale, 1.0) ** n
+    tiny = 1e-12 * big ** n
     sxy = packed[1:1 + n]
     if n > 4:
         block = np.empty((N, n, n))
@@ -198,13 +266,15 @@ def _solve_gradient_block(packed, n):
         return np.where(ok, exact.T, sxy / np.stack(dsafe))
     adj, det = _cofactors(dsafe, syy)
     ok = np.abs(det) > tiny
-    det_safe = np.where(ok, det, 1.0)
+    # the fallback branch is formed only when some candidate takes it
+    fallback = not ok.all()
+    det_safe = np.where(ok, det, 1.0) if fallback else det
     t = np.empty((n, N))
     for i in range(n):
         exact = adj[i][0] * sxy[0]
         for j in range(1, n):
             exact = exact + adj[i][j] * sxy[j]
-        t[i] = np.where(ok, exact / det_safe, sxy[i] / dsafe[i])
+        t[i] = np.where(ok, exact / det_safe, sxy[i] / dsafe[i]) if fallback else exact / det
     return t
 
 
@@ -258,21 +328,28 @@ def _cofactors(d, syy):
     return adj, det
 
 
+def improvement_factor(cfg: AcquisitionConfig, mean, packed) -> np.ndarray:
+    """The configured family's improvement factor at N candidates: PI or EI of
+    the value conditioned on a zero gradient (joint families) or of the value
+    marginal (vanilla families), and 1 for ``derivative_only``."""
+    if cfg.family == "derivative_only":
+        return np.ones(mean.shape[1])
+    if cfg.uses_band:
+        value_mean, value_var = condition_on_zero_gradient(mean, packed)
+    else:
+        value_mean, value_var = mean[0], np.maximum(packed[0], 0.0)
+    if cfg.family in ("joint_pi", "vanilla_pi"):
+        return improvement_probability(value_mean, np.sqrt(value_var), cfg.threshold)
+    return expected_improvement(value_mean, np.sqrt(value_var), cfg.threshold)
+
+
 def values(cfg: AcquisitionConfig, mean, packed) -> np.ndarray:
     """The configured family at N candidates with joint means ``mean``
     (1 + n, N) and packed joint covariances ``packed`` (P, N)."""
-    if cfg.family in ("vanilla_pi", "vanilla_ei"):
-        std = np.sqrt(np.maximum(packed[0], 0.0))
-        if cfg.family == "vanilla_pi":
-            return improvement_probability(mean[0], std, cfg.threshold)
-        return expected_improvement(mean[0], std, cfg.threshold)
-    band = band_probability(mean, packed, cfg.epsilon)
-    if cfg.family == "derivative_only":
-        return band
-    cond_mean, cond_var = condition_on_zero_gradient(mean, packed)
-    if cfg.family == "joint_pi":
-        return improvement_probability(cond_mean, np.sqrt(cond_var), cfg.threshold) * band
-    return expected_improvement(cond_mean, np.sqrt(cond_var), cfg.threshold) * band
+    factor = improvement_factor(cfg, mean, packed)
+    if not cfg.uses_band:
+        return factor
+    return factor * band_probability(mean, packed, cfg.epsilon)
 
 
 # -- scalar API: N = 1 calls ----------------------------------------------------------

@@ -87,6 +87,24 @@ GEMM's 1 + n output rows are independent (M x k) @ (k x m_n) products, and
 they are spread over the same pool. Where the candidates fit in one block,
 everything runs in the calling thread.
 
+The select step needs only the feasible argmax and the value there, and
+the gradient band is narrow, so over more than one block, with a
+feasibility mask and a family with a band, ``acquisition_values`` scores
+exactly only the candidates that can win, in two passes over the pool. The
+first computes, per block, the exact improvement factor f and the bound
+max(f, 0) * ``acquisition.band_bound``, -inf where infeasible and +inf
+where NaN (a NaN value stays a candidate), keeps it in the output buffer
+and returns the block's top bound. The largest exact value at those tops,
+taken in one call, is at most the feasible maximum. The second pass
+writes the exact value (f recomputed, not kept N wide) wherever the bound
+reaches it and -inf everywhere else: no candidate it prunes can reach the
+maximum or tie it. The argmax (ties to the lowest index) and the value
+there are therefore the full sweep's, whatever the block size; which other
+candidates read -inf depends on the block bounds, not on the worker count.
+Without a mask, for the vanilla families or within one block, every
+candidate is scored, and the mask then sets -inf: over a few hundred
+candidates the extra pass costs more than the band it skips.
+
 OpenBLAS would thread its calls too, and its threads and the pool's workers
 then contend for the same cores: its idle threads keep spinning after a
 call and slow the sweep that follows, which makes no BLAS call at all. So
@@ -106,18 +124,19 @@ only: of the kernel they call ``fill_cross``, ``finish_dot`` and
 ``joint_column``, never ``eval_matrix``, ``grad_tensor`` or
 ``joint_blocks_batch``; over the factors they form kernel values for their
 block as products of factor entries. They call ``acquisition.values``,
-which uses nothing in ``gp`` and, of ``numerics``, only the private
-Gaussian tail and density; for n <= 4 it is elementwise numpy too, and for
-n >= 5 its gradient solve calls numpy's batched LAPACK in the workers. So
-anything that wraps the kernel's matrix methods or the public ``gp`` and
-``numerics`` functions sees calls from one thread. No arithmetic of the
-per-step sweep depends on the block bounds, so what ``append`` and
-``acquisition_values`` compute does not depend on the block size or the
-worker count. A full rebuild does depend on them: ``fit`` rebuilds the
-packed covariances and the mean in ``_CHUNK``-row blocks, and the rounding
-of each block's triangular solve depends on its row count, so the
-covariances and the mean after a fit or refit can move in the last bits
-when ``_CHUNK`` changes.
+``improvement_factor`` and ``band_bound``, which use nothing in ``gp`` and,
+of ``numerics``, only the private Gaussian tail and density; for n <= 4
+they are elementwise numpy too, and for n >= 5 the gradient solve calls
+numpy's batched LAPACK in the workers. So anything that wraps the kernel's
+matrix methods or the public ``gp`` and ``numerics`` functions sees calls
+from one thread. No arithmetic of the per-step sweep depends on the block
+bounds, so what ``append`` and ``acquisition_values`` compute does not
+depend on the block size or the worker count, but for which candidates
+the pruned acquisition sets to -inf. A full rebuild does depend on them:
+``fit`` rebuilds the packed covariances and the mean in ``_CHUNK``-row
+blocks, and the rounding of each block's triangular solve depends on its
+row count, so the covariances and the mean after a fit or refit can move
+in the last bits when ``_CHUNK`` changes.
 """
 
 from __future__ import annotations
@@ -524,12 +543,43 @@ class CandidateEvaluator:
             m[i, j] = m[j, i] = self._scov[p, index]
         return m
 
-    def acquisition_values(self, cfg) -> np.ndarray:
-        """Acquisition of the configured family at every candidate."""
-        out = np.empty(self.cands.shape[0])
+    def acquisition_values(self, cfg, mask=None) -> np.ndarray:
+        """Acquisition of the configured family at every candidate. With a
+        feasibility ``mask``, -inf where it is False, and for a family with
+        a band over more than one block, -inf also wherever the candidate
+        cannot reach the feasible maximum (see "Candidate sweep"): the
+        argmax and the value there are those of the full sweep."""
+        n_cand = self.cands.shape[0]
+        out = np.empty(n_cand)
+        if mask is None or not cfg.uses_band or n_cand <= _CHUNK:
+            def acquire(rows):
+                out[rows] = acquisition.values(cfg, self._mu[:, rows], self._scov[:, rows])
 
-        def acquire(rows):
-            out[rows] = acquisition.values(cfg, self._mu[:, rows], self._scov[:, rows])
+            self._sweep(acquire)
+            if mask is not None:
+                out[~mask] = -np.inf
+            return out
 
-        self._sweep(acquire)
+        def bound(rows):
+            # an upper bound on each candidate's value; NaN may hide a NaN value
+            mu, scov, ub = self._mu[:, rows], self._scov[:, rows], out[rows]
+            factor = acquisition.improvement_factor(cfg, mu, scov)
+            np.multiply(np.maximum(factor, 0.0, out=factor),
+                        acquisition.band_bound(mu, scov, cfg.epsilon), out=ub)
+            ub[np.isnan(ub)] = np.inf
+            ub[~mask[rows]] = -np.inf
+            return rows.start + int(np.argmax(ub))
+
+        tops = np.array([i for i in self._sweep(bound) if out[i] > -np.inf], dtype=int)
+        top_values = acquisition.values(cfg, self._mu[:, tops], self._scov[:, tops])
+        # a NaN value has an infinite bound and survives any threshold
+        threshold = max(top_values[~np.isnan(top_values)], default=np.inf)
+
+        def acquire_survivors(rows):
+            keep = rows.start + np.flatnonzero(out[rows] >= threshold)
+            out[rows] = -np.inf
+            if keep.size:
+                out[keep] = acquisition.values(cfg, self._mu[:, keep], self._scov[:, keep])
+
+        self._sweep(acquire_survivors)
         return out

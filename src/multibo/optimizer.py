@@ -232,9 +232,10 @@ class Session:
     ``fit`` conditions the posterior on samples and starts the mask from the
     history points; ``ask`` scores every candidate and returns the index and
     acquisition of the feasible maximum (ties to the lowest index), or raises
-    ``Exhausted``; ``tell`` adds one observation through the evaluator's
-    rank-1 update, growing its capacity when it is full, and clears the mask
-    near the new point. The session keeps ``candidates`` itself, not a copy.
+    ``Exhausted``, or ``NonFinite`` when that acquisition is NaN; ``tell``
+    adds one observation through the evaluator's rank-1 update, growing its
+    capacity when it is full, and clears the mask near the new point. The
+    session keeps ``candidates`` itself, not a copy.
     """
 
     def __init__(self, kernel, candidates, prior_mean, min_distance, capacity,
@@ -253,8 +254,10 @@ class Session:
     def ask(self, acq_cfg: AcquisitionConfig) -> tuple[int, float]:
         if not self.mask.any():
             raise Exhausted("no candidate satisfies the minimum sampling distance")
-        acq = np.where(self.mask, self.evaluator.acquisition_values(acq_cfg), -np.inf)
-        idx = int(np.argmax(acq))
+        acq = self.evaluator.acquisition_values(acq_cfg, self.mask)
+        idx = int(np.argmax(acq))  # the first NaN, if there is one
+        if np.isnan(acq[idx]):
+            raise NonFinite(f"the acquisition is NaN at candidate {idx}")
         return idx, float(acq[idx])
 
     def tell(self, x, y):

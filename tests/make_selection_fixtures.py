@@ -4,7 +4,11 @@ Runs ``configs/griewank2d_jointpi.cfg``, ``shubert_jointei.cfg`` and
 ``tabulated_demo.cfg``, and ``compare`` on ``synthetic1d_compare.cfg`` at
 seed 0, and freezes every column of each ``trace.csv`` except
 ``acquisition``, whose last bits move with the rounding of the acquisition
-formulas. No bundled config is 4-D, so one ask/tell loop on 4-D Griewank
+formulas. Those runs fit in one sweep block, so two 40,000-candidate
+variants of ``griewank2d_jointpi.cfg`` (``LARGE``, the grid and random
+variants of ``tests/test_determinism.py`` at budget 15) are frozen too:
+their sweeps span several blocks and take the engine's pruned acquisition
+path. No bundled config is 4-D, so one ask/tell loop on 4-D Griewank
 (``ASKTELL_4D``) is frozen beside them: each round's chosen index, point
 and value, again without the acquisition. ``tests/test_selections.py``
 checks that the runs still select the same points.
@@ -23,6 +27,7 @@ import numpy as np
 from multibo import gp, harness, objectives, optimizer
 from multibo.acquisition import AcquisitionConfig
 from multibo.kernels import SquaredExponential
+from test_determinism import CANDIDATES, CONFIG
 
 REPO = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).parent / "fixtures" / "selections"
@@ -34,6 +39,16 @@ RUNS = {
     "tabulated_demo": ["run", "configs/tabulated_demo.cfg"],
     "compare0": ["compare", "configs/synthetic1d_compare.cfg", "--seed", "0"],
 }
+
+# output directory name -> the config line that gives CONFIG its 40,000 candidates
+LARGE = {f"griewank2d_jointpi_40k_{kind}": line for kind, line in CANDIDATES.items()}
+
+
+def large_config(line, path) -> Path:
+    """CONFIG at budget 15 with ``line`` for its candidates, written to ``path``."""
+    kept = [l for l in CONFIG.read_text().splitlines() if not l.startswith(("grid_step", "budget"))]
+    path.write_text("\n".join(kept + [line, "budget = 15"]) + "\n")
+    return path
 
 # ask/tell on 4-D Griewank with the priors and settings of the benchmark's
 # ``asktell-4d`` workload, over one seeded uniform point in each of
@@ -90,7 +105,10 @@ def run_all(out_root) -> dict[str, list[str]]:
     per trace (``compare0_joint_pi`` for a multi-run command's runs), plus
     ``asktell_griewank4d`` for the ask/tell loop."""
     out_root = Path(out_root)
-    for name, argv in RUNS.items():
+    runs = dict(RUNS)
+    for name, line in LARGE.items():
+        runs[name] = ["run", str(large_config(line, out_root / f"{name}.cfg"))]
+    for name, argv in runs.items():
         assert harness.main([*argv, "--out", str(out_root / name)]) == 0, name
     selections = {
         "_".join(path.parent.relative_to(out_root).parts): selection_lines(path)

@@ -11,6 +11,8 @@ from multibo import gp
 from multibo.acquisition import (
     _solve_gradient_block,
     AcquisitionConfig,
+    band_bound,
+    band_probability,
     condition_on_zero_gradient,
     condition_value_on_gradient,
     evaluate,
@@ -377,3 +379,67 @@ def test_n4_determinant_just_below_the_threshold_takes_the_fallback():
         else:
             np.testing.assert_array_equal(t, sxy / dsafe)
 
+
+# per-dimension gradient variances, as a function of epsilon and a uniform u
+BOUND_VARIANCES = {
+    "zero": lambda eps, u: np.zeros_like(u),
+    "negative": lambda eps, u: -eps * eps * 10.0 ** (-12.0 * u),
+    "subnormal": lambda eps, u: 5e-324 * np.floor(1.0 + 1e6 * u),
+    "s << eps": lambda eps, u: (eps * 10.0 ** (-1.0 - 11.0 * u)) ** 2,
+    "s ~ eps": lambda eps, u: (eps * 10.0 ** (2.0 * u - 1.0)) ** 2,
+    "s >> eps": lambda eps, u: (eps * 10.0 ** (1.0 + 11.0 * u)) ** 2,
+}
+# gradient means, as a function of epsilon, a uniform u and a random sign
+BOUND_MEANS = {
+    "zero": lambda eps, u, sign: np.zeros_like(u),
+    "inside": lambda eps, u, sign: sign * eps * u,
+    "at the edge": lambda eps, u, sign: sign * eps * (1.0 + 10.0 ** (-16.0 * u) * (2 * u - 1)),
+    "|mu| >> eps": lambda eps, u, sign: sign * eps * 10.0 ** (1.0 + 7.0 * u),
+    "any": lambda eps, u, sign: sign * eps * 10.0 ** (8.0 * u - 4.0),
+}
+
+
+def assert_band_bound_holds(mean, packed, epsilon):
+    with np.errstate(all="ignore"):
+        band = band_probability(mean, packed, epsilon)
+        bound = band_bound(mean, packed, epsilon)
+    np.testing.assert_array_equal(np.isnan(bound), np.isnan(band))
+    ok = np.isnan(band) | (bound >= band)
+    assert ok.all(), (mean[:, ~ok], packed[:, ~ok], band[~ok], bound[~ok])
+    assert (bound[~np.isnan(bound)] <= 1.0).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    data=st.data(),
+    log_eps=st.floats(-8.0, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_band_bound_is_at_least_the_computed_band(n, data, log_eps, seed):
+    # every dimension draws its variance and mean from one of the cases, and
+    # 64 candidates share the draw of cases
+    rng = np.random.default_rng(seed)
+    eps = 10.0 ** log_eps
+    size = 64
+    mean = np.zeros((1 + n, size))
+    packed = np.zeros((len(packed_pairs(n)), size))
+    for d in range(n):
+        var = data.draw(st.sampled_from(sorted(BOUND_VARIANCES)))
+        mu = data.draw(st.sampled_from(sorted(BOUND_MEANS)))
+        sign = rng.choice([-1.0, 1.0], size)
+        mean[1 + d] = BOUND_MEANS[mu](eps, rng.random(size), sign)
+        packed[packed_pairs(n).index((1 + d, 1 + d))] = BOUND_VARIANCES[var](eps, rng.random(size))
+    assert_band_bound_holds(mean, packed, eps)
+
+
+def test_band_bound_holds_on_special_blocks():
+    # the collapsed block of joint EI on synthetic1d seed 3, step 34
+    # (S_xx, S_xy, S_yy) = (-7.4e-12, 7.6e-10, -7.8e-8): the indicator branch
+    mean, packed = np.array([[0.458], [-0.777]]), np.array([[-7.4e-12], [7.6e-10], [-7.8e-8]])
+    assert_band_bound_holds(mean, packed, 1.0)
+    assert band_bound(mean, packed, 1.0)[0] == 1.0
+    # NaN and infinite entries: NaN stays exactly where the band is NaN
+    special = np.array([0.0, np.nan, np.inf, -np.inf, 1e300, 5e-324, -1.0, 2.0])
+    mu, var = (a.ravel() for a in np.meshgrid(special, special))
+    assert_band_bound_holds(np.stack([np.zeros_like(mu), mu]), np.stack([var, var, var]), 0.5)

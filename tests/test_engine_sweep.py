@@ -1,8 +1,9 @@
-"""The blocked candidate sweep, the BLAS thread pin, capacity, the memory
-preflight and the feasibility mask."""
+"""The blocked candidate sweep, the pruned masked acquisition, the BLAS
+thread pin, capacity, the memory preflight and the feasibility mask."""
 
 import ctypes.util
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from multibo import engine, objectives, optimizer
 from multibo.acquisition import AcquisitionConfig, packed_pairs
 from multibo.engine import CandidateEvaluator
-from multibo.errors import GridTooLarge, MultiboError
+from multibo.errors import GridTooLarge, MultiboError, NonFinite
 from multibo.kernels import Polynomial, SquaredExponential
 from test_acquisition import diagonal_fallback
 
@@ -113,6 +114,103 @@ def test_sweep_with_more_workers_than_cores_matches_single_block():
                 sys.setswitchinterval(interval)
         for key in want:
             np.testing.assert_array_equal(got[key], want[key], err_msg=key)
+
+
+def _masked_full(ev, cfg, mask):
+    return np.where(mask, ev.acquisition_values(cfg), -np.inf)
+
+
+def _assert_pruned_matches(got, full, mask):
+    """``got`` from the pruned path: the argmax and its value are the full
+    sweep's, every other value it keeps is exact, and the rest are -inf."""
+    best = int(np.argmax(full))
+    assert int(np.argmax(got)) == best
+    np.testing.assert_array_equal(got[best], full[best])
+    kept = got > -np.inf
+    assert not kept[~mask].any()
+    np.testing.assert_array_equal(got[kept], full[kept])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    grid=st.booleans(),
+    family=st.sampled_from(("joint_pi", "joint_ei", "derivative_only")),
+    seed=st.integers(0, 2**32 - 1),
+    chunks=st.lists(st.integers(2, 12), min_size=2, max_size=2),
+    density=st.floats(0.05, 1.0),
+    tie=st.booleans(),
+    single=st.booleans(),
+)
+def test_pruned_acquisition_matches_the_full_sweep(n, grid, family, seed, chunks, density,
+                                                   tie, single):
+    rng = np.random.default_rng(seed)
+    X, f = rng.uniform(-1.0, 1.0, (6, n)), rng.standard_normal(6)
+    axes = None
+    if grid:
+        axes = [np.sort(rng.uniform(-1.0, 1.0, math.ceil(40 ** (1 / n)))) for _ in range(n)]
+        cands = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, n)
+    else:
+        cands = rng.uniform(-1.0, 1.0, (40, n))
+    N = len(cands)
+    ev = CandidateEvaluator(SquaredExponential(2.0, 0.6), cands, 0.25, capacity=6, axes=axes)
+    ev.fit(X[:2], f[:2])
+    for x, y in zip(X[2:], f[2:]):
+        ev.append(x, y)
+    mask = rng.random(N) < density
+    if single or not mask.any():
+        mask[:] = False
+        mask[rng.integers(N)] = True
+    cfg = AcquisitionConfig(family, 0.2, 0.3)
+    if tie and mask.sum() > 1:
+        # an exact tie at the maximum: another feasible candidate takes the
+        # winner's posterior, and the lower index must win
+        best = int(np.argmax(_masked_full(ev, cfg, mask)))
+        other = int(rng.choice(np.flatnonzero(mask & (np.arange(N) != best))))
+        ev._mu[:, other], ev._scov[:, other] = ev._mu[:, best], ev._scov[:, best]
+        assert int(np.argmax(_masked_full(ev, cfg, mask))) == min(best, other)
+    full = _masked_full(ev, cfg, mask)
+    results = []
+    for chunk in chunks:
+        with mock.patch.object(engine, "_CHUNK", chunk):
+            got = ev.acquisition_values(cfg, mask)
+        _assert_pruned_matches(got, full, mask)
+        results.append(got)
+    # which candidates are pruned depends on the blocks, not on the workers
+    interval = sys.getswitchinterval()
+    with ThreadPoolExecutor(8) as pool, mock.patch.object(engine, "_pool", pool), \
+            mock.patch.object(engine, "_CHUNK", chunks[-1]):
+        sys.setswitchinterval(1e-6)
+        try:
+            crowded = ev.acquisition_values(cfg, mask)
+        finally:
+            sys.setswitchinterval(interval)
+    np.testing.assert_array_equal(crowded, results[-1])
+
+
+def test_pruned_acquisition_reads_minus_inf_without_a_feasible_candidate():
+    rng = np.random.default_rng(9)
+    ev = CandidateEvaluator(SquaredExponential(2.0, 0.6), rng.uniform(-1.0, 1.0, (30, 2)), 0.0,
+                            capacity=3)
+    ev.fit(rng.uniform(-1.0, 1.0, (3, 2)), rng.standard_normal(3))
+    with mock.patch.object(engine, "_CHUNK", 4):
+        got = ev.acquisition_values(AcquisitionConfig("joint_ei", 0.2, 0.3), np.zeros(30, bool))
+    assert (got == -np.inf).all()
+
+
+@pytest.mark.parametrize("chunk", [_DEFAULT_CHUNK, 7], ids=["full", "pruned"])
+@pytest.mark.parametrize("family, row", [("joint_ei", 0), ("joint_pi", 1), ("derivative_only", 2)])
+def test_ask_names_a_nan_acquisition(chunk, family, row):
+    rng = np.random.default_rng(8)
+    cands = rng.uniform(-1.0, 1.0, (40, 2))
+    X = rng.uniform(-1.0, 1.0, (4, 2))
+    with mock.patch.object(engine, "_CHUNK", chunk):
+        session = optimizer.Session(SquaredExponential(2.0, 0.6), cands, 0.25, 0.0,
+                                    capacity=4, jitter_schedule=(0.0,))
+        session.fit(X, rng.standard_normal(4), X)
+        session.evaluator._mu[row, 23] = np.nan
+        with pytest.raises(NonFinite, match="NaN at candidate 23"):
+            session.ask(AcquisitionConfig(family, 0.2, 0.3))
 
 
 def _evaluate_in_child(conn, *args):
