@@ -44,11 +44,21 @@ RUNS = {
 LARGE = {f"griewank2d_jointpi_40k_{kind}": line for kind, line in CANDIDATES.items()}
 
 
+# output directory name -> (bundled config, budget it is cut to)
+GRID3D = {"griewank3d_jointei_40": (REPO / "configs" / "griewank3d_jointei.cfg", 40)}
+
+
+def cut_config(config, drop, lines, path) -> Path:
+    """``config`` without its lines that start with one of ``drop``, plus
+    ``lines``, written to ``path``."""
+    kept = [l for l in Path(config).read_text().splitlines() if not l.startswith(drop)]
+    path.write_text("\n".join(kept + lines) + "\n")
+    return path
+
+
 def large_config(line, path) -> Path:
     """CONFIG at budget 15 with ``line`` for its candidates, written to ``path``."""
-    kept = [l for l in CONFIG.read_text().splitlines() if not l.startswith(("grid_step", "budget"))]
-    path.write_text("\n".join(kept + [line, "budget = 15"]) + "\n")
-    return path
+    return cut_config(CONFIG, ("grid_step", "budget"), [line, "budget = 15"], path)
 
 # ask/tell on 4-D Griewank with the priors and settings of the benchmark's
 # ``asktell-4d`` workload, over one seeded uniform point in each of
@@ -108,6 +118,9 @@ def run_all(out_root) -> dict[str, list[str]]:
     runs = dict(RUNS)
     for name, line in LARGE.items():
         runs[name] = ["run", str(large_config(line, out_root / f"{name}.cfg"))]
+    for name, (config, budget) in GRID3D.items():
+        cut = cut_config(config, ("budget",), [f"budget = {budget}"], out_root / f"{name}.cfg")
+        runs[name] = ["run", str(cut)]
     for name, argv in runs.items():
         assert harness.main([*argv, "--out", str(out_root / name)]) == 0, name
     selections = {
