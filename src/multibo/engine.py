@@ -119,7 +119,11 @@ OpenBLAS or such a setter, nothing is pinned.
 The remaining BLAS calls (the dense cache's GEMM, full width, and the
 triangular solves of ``fit`` and ``state``) run on the calling thread. The
 new sample's factors are computed on the calling thread too; they are
-small. Workers run numpy on slices of the cross terms and the GEMM output
+small. So is every call of the kernel's matrix methods: ``eval_matrix``
+(the kernel matrix in ``fit``, the new sample's row in ``append``),
+``grad_tensor`` (the rebuild in ``fit``) and ``joint_blocks_batch`` (the
+prior blocks at construction, the new sample's k(x, x) in ``append``).
+Workers run numpy on slices of the cross terms and the GEMM output
 only: of the kernel they call ``fill_cross``, ``finish_dot`` and
 ``joint_column``, never ``eval_matrix``, ``grad_tensor`` or
 ``joint_blocks_batch``; over the factors they form kernel values for their
@@ -334,16 +338,8 @@ class CandidateEvaluator:
         self._raw = np.empty((1 + n, n_cand))
         self._scov = np.empty((len(self._pairs), n_cand))
         # a stationary kernel's blocks are candidate-independent; keep one column
-        k0_val, k0_cross, k0_hess = kernel.joint_blocks_batch(
-            self.cands[:1] if kernel.stationary else self.cands)
-        self._k0p = np.empty((len(self._pairs), len(k0_val)))
-        for p, (i, j) in enumerate(self._pairs):
-            if i == 0 and j == 0:
-                self._k0p[p] = k0_val
-            elif i == 0:
-                self._k0p[p] = k0_cross[:, j - 1]
-            else:
-                self._k0p[p] = k0_hess[:, i - 1, j - 1]
+        k0 = kernel.joint_blocks_batch(self.cands[:1] if kernel.stationary else self.cands)
+        self._k0p = np.array([k0[:, i, j] for i, j in self._pairs])
         self._mu = np.empty((1 + n, n_cand))
 
     def _cross_shape(self, capacity):
@@ -352,7 +348,7 @@ class CandidateEvaluator:
         arrays at that capacity would not fit in physical memory."""
         n_cand = self.cands.shape[0]
         shape = self._terms_type.shape(self.kernel, capacity, n_cand, self._axes)
-        need = self._bytes_needed(n_cand, self.n, capacity, math.prod(shape))
+        need = self._bytes_needed(capacity, math.prod(shape))
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         if need > have:
             raise GridTooLarge(
@@ -375,17 +371,20 @@ class CandidateEvaluator:
         self._terms = self._terms_type(self.kernel, self.cands, cross, self._axes)
         self.capacity = capacity
 
-    @staticmethod
-    def _bytes_needed(n_cand, n, capacity, cross_floats):
-        """Bytes of the evaluator's arrays: the cross terms (``cross_floats``
-        doubles), the Cholesky factor, samples and weights, the packed
-        covariances with their prior blocks, the posterior mean and the
-        sweep's full-width buffers (the GEMM output and the acquisition
-        values)."""
+    def _bytes_needed(self, capacity, cross_floats):
+        """Bytes of the evaluator's arrays at ``capacity`` samples: the cross
+        terms (``cross_floats`` doubles), the Cholesky factor, the samples,
+        their values and the mean's weights z, the packed prior blocks (one
+        column for a stationary kernel), the packed covariances, the
+        posterior mean and the sweep's full-width buffers (the GEMM output
+        and the acquisition values)."""
+        n_cand, n = self.cands.shape
         width = 1 + n
         packed = width * (width + 1) // 2
-        rows = 2 * packed + width + (width + 1)
-        return 8 * (cross_floats + rows * n_cand + capacity * (capacity + n + 3))
+        k0_cols = 1 if self.kernel.stationary else n_cand
+        rows = packed + width + (width + 1)
+        return 8 * (cross_floats + packed * k0_cols + rows * n_cand
+                    + capacity * (capacity + n + 2))
 
     # -- candidate sweep -----------------------------------------------------
 
@@ -465,7 +464,7 @@ class CandidateEvaluator:
             self.fit(x_new[None, :], [f_new])
             return
         k_vec = self.kernel.eval_matrix(x_new[None, :], self._X[:k])[0]
-        k_self = self.kernel.eval(x_new, x_new)
+        k_self = self.kernel.joint_blocks_batch(x_new[None, :])[0, 0, 0]
         L = self._L[:k, :k]
         l_row = solve_triangular(L, k_vec, lower=True)
         lam2 = k_self + self._jitter - float(l_row @ l_row)

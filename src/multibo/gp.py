@@ -2,15 +2,15 @@
 
 Fitting conditions a GP with constant prior mean on noise-free value
 observations. Queries return the joint (1+n)-dimensional Gaussian over the
-function value and its gradient at a point, built from the kernel and its
-analytic derivative blocks:
+function value and its gradient at one point x, built from the kernel and
+its analytic derivative blocks:
 
     mean = [mu0 + a K^-1 (f - mu0);  G K^-1 (f - mu0)]
     cov  = K0 - A K^-1 A^T
 
 where ``A`` stacks the value row ``a = k(x, x_1:k)`` over the gradient rows
-``G = dk(y, x_1:k)/dy`` and ``K0`` holds the kernel blocks at the query
-point. The constant prior mean re-enters the value component only; its
+``G = dk(x, x_1:k)/dx`` (``grad_tensor``) and ``K0`` is the joint prior
+block at x (``joint_blocks_batch``). The constant prior mean re-enters the value component only; its
 derivative is zero.
 
 This module holds the posterior only; conditioning the value on the
@@ -63,7 +63,7 @@ class GPState:
 
 @dataclass(frozen=True)
 class JointGaussian:
-    """Joint Gaussian over (f(x), grad f(y)); mean is a (1+n)-vector."""
+    """Joint Gaussian over (f(x), grad f(x)); mean is a (1+n)-vector."""
 
     mean: np.ndarray
     cov: np.ndarray
@@ -136,33 +136,26 @@ def _query_point(state: GPState, x) -> np.ndarray:
     return x
 
 
-def joint_posterior(state: GPState, x, y=None) -> JointGaussian:
-    """Joint posterior over (f(x), grad f(y)); ``y`` defaults to ``x``.
+def joint_posterior(state: GPState, x) -> JointGaussian:
+    """Joint posterior over the value and gradient at one point, (f(x), grad f(x)).
 
     The covariance is symmetrized and its diagonal clamped at zero within
     tolerance; a diagonal entry more negative than the scaled tolerance
     signals a numerically broken factorization and raises.
     """
     x = _query_point(state, x)
-    y = x if y is None else _query_point(state, y)
     X = state.inputs
     n = state.dim
 
     a_val = state.kernel.eval_matrix(x[None, :], X)[0]
-    a_grad = state.kernel.grad_tensor(y[None, :], X)[0].T  # (n, k)
+    a_grad = state.kernel.grad_tensor(x[None, :], X)[0].T  # (n, k)
     A = np.vstack([a_val[None, :], a_grad])
 
     mean = np.empty(1 + n)
     mean[0] = state.prior_mean + a_val @ state.alpha_vec
     mean[1:] = a_grad @ state.alpha_vec
 
-    k0 = np.empty((1 + n, 1 + n))
-    k0[0, 0] = state.kernel.eval(x, x)
-    cross = state.kernel.grad_second_arg(x, y)
-    k0[0, 1:] = cross
-    k0[1:, 0] = cross
-    k0[1:, 1:] = state.kernel.hess_mixed(y, y)
-
+    k0 = state.kernel.joint_blocks_batch(x[None, :])[0]
     cov = k0 - A @ numerics.solve(state.factor, A.T)
     cov = 0.5 * (cov + cov.T)
     scale = max(1.0, float(np.max(np.abs(np.diag(k0)))))
@@ -180,7 +173,7 @@ def value_posterior(state: GPState, x) -> tuple[float, float]:
     x = _query_point(state, x)
     a_val = state.kernel.eval_matrix(x[None, :], state.inputs)[0]
     mean = state.prior_mean + float(a_val @ state.alpha_vec)
-    var = state.kernel.eval(x, x) - float(
+    var = state.kernel.joint_blocks_batch(x[None, :])[0, 0, 0] - float(
         a_val @ numerics.solve(state.factor, a_val)
     )
     return mean, max(var, 0.0)

@@ -61,25 +61,22 @@ def _kernel_keys(name) -> tuple[str, ...]:
     return tuple(f.name for f in fields(_KERNELS[name]))
 
 
-# config key -> ExperimentConfig field, where the two names differ
-_FIELDS = {"kernel": "kernel_name", "grid_count": "grid_counts"}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment settings (benchmark + optimizer + outputs)."""
+    """Validated experiment settings (benchmark + optimizer + outputs),
+    each field named after its config key."""
 
     benchmark: str
     dimension: int
     bounds: tuple[tuple[float, float], ...]
-    kernel_name: str
+    kernel: str
     kernel_params: dict
     acquisition: str
     threshold: float
     epsilon: float
     budget: int
     grid_step: float | None
-    grid_counts: tuple[int, ...] | None
+    grid_count: tuple[int, ...] | None
     random_candidates: int | None
     min_distance: float
     n_priors: int
@@ -108,7 +105,7 @@ class ExperimentConfig:
         try:
             return OptimizerConfig(
                 bounds=np.asarray(self.bounds),
-                kernel=_KERNELS[self.kernel_name](**self.kernel_params),
+                kernel=_KERNELS[self.kernel](**self.kernel_params),
                 acquisition=AcquisitionConfig(
                     family=family or self.acquisition,
                     threshold=self.threshold,
@@ -117,7 +114,7 @@ class ExperimentConfig:
                 budget=self.budget,
                 min_distance=self.min_distance,
                 grid_step=self.grid_step,
-                grid_counts=self.grid_counts,
+                grid_counts=self.grid_count,
                 random_candidates=self.random_candidates,
                 prior_points=None if self.prior_points is None else np.asarray(self.prior_points),
                 n_priors=self.n_priors,
@@ -133,8 +130,6 @@ class ExperimentConfig:
         left out), updated with ``extra``."""
         base = asdict(self)
         del base["out_dir"], base["emit_plot_data"]
-        for key, name in _FIELDS.items():
-            base[key] = base.pop(name)
         base.update(extra)
         return base
 
@@ -277,7 +272,7 @@ def parse_config_text(text) -> ExperimentConfig:
 
     cfg = ExperimentConfig(
         kernel_params={key: params[key] for key in _kernel_keys(kernel)},
-        **{_FIELDS.get(key, key): value for key, value in values.items()},
+        **values,
     )
     if not cfg.hit_radius > 0:
         raise ConfigError(f"hit_radius must be positive, got {cfg.hit_radius}")
@@ -453,7 +448,7 @@ def cmd_sweep(config_path, param, values, seed=None, out=None) -> int:
         raise ConfigError(f"sweep parameter must be one of {SWEEP_PARAMS}, got {param!r}")
     cfg = parse_config(config_path)
     kernel_param = param in _kernel_keys("se")
-    if kernel_param and cfg.kernel_name != "se":
+    if kernel_param and cfg.kernel != "se":
         raise ConfigError(f"sweep over {param!r} requires the se kernel")
     runs = []
     for value in values:

@@ -6,13 +6,18 @@ Two families are provided:
 * ``Polynomial``:          k(x, y) = alpha_bar * (x . y)^2, the homogeneous
   quadratic kernel
 
-Derivative convention
----------------------
-``grad_second_arg(x, y)`` differentiates with respect to the *derivative
-argument* ``y`` of ``k(y, x)``; for stationary kernels this flips sign under
-swapping the roles of the two points, so the convention matters. The mixed
-second derivative ``hess_mixed(y, y2)`` is d^2 k(y, y2) / dy dy2 with rows
-indexed by components of ``y`` and columns by components of ``y2``.
+Conventions
+-----------
+``eval_matrix(X, Y)`` is the kernel matrix k(x_a, y_b) between two row
+stacks. ``grad_tensor(Y, X)`` differentiates with respect to the *derivative
+argument* y of k(y, x): entry [a, r] is dk(y_a, x_r)/dy, shape (m, k, n). For
+a stationary kernel this flips sign when the two points swap roles, so the
+convention matters. ``joint_blocks_batch(Y)`` is the dense joint prior block
+K0(y) of (f(y), grad f(y)) at each candidate, shape (m, 1 + n, 1 + n): entry
+[0, 0] is k(y, y), row 0 beyond it the gradient dk(y, y2)/dy at y2 = y, and
+the lower-right n x n block the mixed Hessian d^2 k(y, y2) / dy dy2 at
+y2 = y. Both stacks of a pair must have the same point dimension, else
+``DimensionMismatch``.
 
 Batched algebra for the engine
 ------------------------------
@@ -53,12 +58,13 @@ import numpy as np
 from .errors import DimensionMismatch
 
 
-def _check_pair(x, y):
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if x.shape != y.shape or x.ndim != 1:
-        raise DimensionMismatch(f"point shapes {x.shape} and {y.shape} differ")
-    return x, y
+def _stacks(X, Y):
+    """``X`` and ``Y`` as float row stacks of one point dimension."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    if X.shape[1] != Y.shape[1]:
+        raise DimensionMismatch("row stacks have different point dimensions")
+    return X, Y
 
 
 @dataclass(frozen=True)
@@ -78,17 +84,9 @@ class SquaredExponential:
         if not self.length_scale > 0:
             raise ValueError("length_scale must be positive")
 
-    def eval(self, x, y) -> float:
-        x, y = _check_pair(x, y)
-        d2 = float(np.sum((x - y) ** 2))
-        return self.alpha * np.exp(-d2 / (2.0 * self.length_scale**2))
-
     def eval_matrix(self, X, Y) -> np.ndarray:
         """Pairwise kernel matrix between row stacks ``X`` (m, n) and ``Y`` (k, n)."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        if X.shape[1] != Y.shape[1]:
-            raise DimensionMismatch("row stacks have different point dimensions")
+        X, Y = _stacks(X, Y)
         d2 = (
             np.sum(X * X, axis=1)[:, None]
             - 2.0 * X @ Y.T
@@ -97,40 +95,23 @@ class SquaredExponential:
         np.maximum(d2, 0.0, out=d2)
         return self.alpha * np.exp(-d2 / (2.0 * self.length_scale**2))
 
-    def grad_second_arg(self, x, y) -> np.ndarray:
-        """dk(y, x)/dy = -((y - x) / l^2) k(y, x)."""
-        x, y = _check_pair(x, y)
-        return -(y - x) / self.length_scale**2 * self.eval(y, x)
-
     def grad_tensor(self, Y, X) -> np.ndarray:
         """Gradients dk(y, x_r)/dy for every candidate y in ``Y`` (m, n) and sample x_r in ``X`` (k, n).
 
-        Returns shape (m, k, n).
+        Returns shape (m, k, n): -((y - x_r) / l^2) k(y, x_r).
         """
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        Y, X = _stacks(Y, X)
         kern = self.eval_matrix(Y, X)
         diff = Y[:, None, :] - X[None, :, :]
         return -diff / self.length_scale**2 * kern[:, :, None]
 
-    def hess_mixed(self, y, y2) -> np.ndarray:
-        """d^2 k(y, y2) / dy dy2 = (k / l^2) (I - (y - y2)(y - y2)^T / l^2)."""
-        y, y2 = _check_pair(y, y2)
-        n = y.shape[0]
-        r = y - y2
-        l2 = self.length_scale**2
-        k = self.eval(y, y2)
-        return (k / l2) * (np.eye(n) - np.outer(r, r) / l2)
-
-    def joint_blocks_batch(self, Y):
+    def joint_blocks_batch(self, Y) -> np.ndarray:
+        """Joint prior blocks K0(y) at the candidates ``Y`` (m, n), shape
+        (m, 1 + n, 1 + n): blockdiag(alpha, alpha / l^2 I) at every y."""
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
         m, n = Y.shape
-        kxx = np.full(m, self.alpha)
-        cross = np.zeros((m, n))
-        hess = np.broadcast_to(
-            (self.alpha / self.length_scale**2) * np.eye(n), (m, n, n)
-        ).copy()
-        return kxx, cross, hess
+        block = np.diag([self.alpha] + [self.alpha / self.length_scale**2] * n)
+        return np.repeat(block[None], m, axis=0)
 
     def fill_cross(self, cache, x, Y):
         """Cache row of sample ``x`` against candidates ``Y`` (m, n), written
@@ -198,44 +179,30 @@ class Polynomial:
         if not self.alpha_bar > 0:
             raise ValueError("alpha_bar must be positive")
 
-    def eval(self, x, y) -> float:
-        x, y = _check_pair(x, y)
-        return self.alpha_bar * float(x @ y) ** 2
-
     def eval_matrix(self, X, Y) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        if X.shape[1] != Y.shape[1]:
-            raise DimensionMismatch("row stacks have different point dimensions")
+        X, Y = _stacks(X, Y)
         return self.alpha_bar * (X @ Y.T) ** 2
 
-    def grad_second_arg(self, x, y) -> np.ndarray:
-        """dk(y, x)/dy = 2 alpha_bar (y . x) x."""
-        x, y = _check_pair(x, y)
-        return 2.0 * self.alpha_bar * float(y @ x) * x
-
     def grad_tensor(self, Y, X) -> np.ndarray:
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        """dk(y, x_r)/dy = 2 alpha_bar (y . x_r) x_r, shape (m, k, n)."""
+        Y, X = _stacks(Y, X)
         dots = Y @ X.T
         return 2.0 * self.alpha_bar * dots[:, :, None] * X[None, :, :]
 
-    def hess_mixed(self, y, y2) -> np.ndarray:
-        """d^2 k(y, y2) / dy dy2 = 2 alpha_bar (y2 y^T + (y . y2) I)."""
-        y, y2 = _check_pair(y, y2)
-        n = y.shape[0]
-        return 2.0 * self.alpha_bar * (np.outer(y2, y) + float(y @ y2) * np.eye(n))
-
-    def joint_blocks_batch(self, Y):
+    def joint_blocks_batch(self, Y) -> np.ndarray:
+        """Joint prior blocks K0(y) at the candidates ``Y`` (m, n), shape
+        (m, 1 + n, 1 + n): k(y, y) = alpha_bar |y|^4, gradient
+        2 alpha_bar |y|^2 y and mixed Hessian 2 alpha_bar (y y^T + |y|^2 I)."""
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
         m, n = Y.shape
         sq = np.sum(Y * Y, axis=1)
-        kxx = self.alpha_bar * sq**2
-        cross = 2.0 * self.alpha_bar * sq[:, None] * Y
-        hess = 2.0 * self.alpha_bar * (
-            Y[:, :, None] * Y[:, None, :] + sq[:, None, None] * np.eye(n)
-        )
-        return kxx, cross, hess
+        out = np.empty((m, 1 + n, 1 + n))
+        out[:, 0, 0] = self.alpha_bar * sq**2
+        out[:, 0, 1:] = out[:, 1:, 0] = 2.0 * self.alpha_bar * sq[:, None] * Y
+        hess = np.multiply(Y[:, :, None], Y[:, None, :], out=out[:, 1:, 1:])
+        hess += sq[:, None, None] * np.eye(n)
+        hess *= 2.0 * self.alpha_bar
+        return out
 
     def fill_cross(self, cache, x, Y):
         """Cache rows of sample ``x`` against candidates ``Y`` (m, n), written

@@ -60,8 +60,7 @@ def test_joint_posterior_prior_recovery_far_away():
     j = gp.joint_posterior(state, [50.0])
     assert j.mean[0] == pytest.approx(0.5, abs=1e-12)
     assert j.mean[1] == pytest.approx(0.0, abs=1e-12)
-    kxx, cross, hess = state.kernel.joint_blocks_batch(np.array([[50.0]]))
-    prior = np.block([[kxx[:, None], cross], [cross.T, hess[0]]])
+    prior = state.kernel.joint_blocks_batch(np.array([[50.0]]))[0]
     assert np.allclose(j.cov, prior, atol=1e-12)
 
 
@@ -81,20 +80,6 @@ def test_joint_posterior_matches_fd_gp_oracle():
         mean_fd, cov_fd = oracles.fd_joint_posterior(state, x)
         assert np.allclose(j.mean, mean_fd, rtol=1e-3, atol=1e-6)
         assert np.allclose(j.cov, cov_fd, rtol=1e-3, atol=1e-5)
-
-
-def test_joint_posterior_distinct_points():
-    rng = np.random.default_rng(4)
-    state = random_state(rng, n=1, k=4)
-    x = np.array([0.3])
-    y = np.array([-0.8])
-    j = gp.joint_posterior(state, x, y)
-    jx = gp.joint_posterior(state, x)
-    jy = gp.joint_posterior(state, y)
-    assert j.mean[0] == pytest.approx(jx.mean[0], rel=1e-12)
-    assert j.mean[1] == pytest.approx(jy.mean[1], rel=1e-12)
-    assert j.cov[0, 0] == pytest.approx(jx.cov[0, 0], abs=1e-12)
-    assert j.cov[1, 1] == pytest.approx(jy.cov[1, 1], abs=1e-12)
 
 
 def test_gradient_mean_matches_fd_of_mean_surface():

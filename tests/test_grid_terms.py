@@ -209,7 +209,26 @@ def test_bytes_needed_covers_the_allocated_arrays(cfg, polynomial, grid, capacit
     # full-width array the evaluator does not keep
     assert ev.cands is cands
     held = _evaluator_bytes(ev) - cands.nbytes + 8 * n_cand
-    assert held <= CandidateEvaluator._bytes_needed(n_cand, n, capacity, cross)
+    assert held <= ev._bytes_needed(capacity, cross)
+
+
+@pytest.mark.parametrize("polynomial", [False, True], ids=["se", "polynomial"])
+@pytest.mark.parametrize("grid", [False, True], ids=["dense", "grid"])
+def test_bytes_needed_equals_the_arrays_at_capacity(polynomial, grid):
+    # 30^3 = 27,000 grid candidates; a stationary kernel keeps one prior column
+    axis = np.linspace(-1.0, 1.0, 30)
+    axes = [axis] * 3
+    cands = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, 3)
+    kernel = Polynomial(1.5) if polynomial else SquaredExponential(2.0, 0.6)
+    capacity = 6
+    ev = CandidateEvaluator(kernel, cands, 0.0, capacity=capacity, axes=axes if grid else None)
+    assert isinstance(ev._terms, engine._GridCross) == (grid and not polynomial)
+    X = cands[np.random.default_rng(3).choice(len(cands), capacity, replace=False)]
+    ev.fit(X, np.sin(X.sum(axis=1)))
+    arrays = (ev._cross, ev._L, ev._X, ev._f, ev._z, ev._raw, ev._scov, ev._k0p, ev._mu)
+    # plus the acquisition values, the one full-width array it does not keep
+    held = sum(a.nbytes for a in arrays) + 8 * len(cands)
+    assert ev._bytes_needed(capacity, ev._cross.size) == held
 
 
 def test_stationary_prior_block_is_computed_from_one_candidate():

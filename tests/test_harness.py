@@ -43,7 +43,7 @@ def test_parse_config_roundtrip(tmp_path):
     assert cfg.benchmark == "synthetic1d"
     assert cfg.bounds == ((0.0, 1.0),)
     assert cfg.kernel_params == {"alpha": 1.0, "length_scale": 0.06}
-    assert cfg.grid_counts == (120,)
+    assert cfg.grid_count == (120,)
     assert cfg.checkpoints == (4, 8)
     kernel_keys = {"alpha", "length_scale", "alpha_bar"}
     assert set(cfg.echo()) == set(harness._KEYS) - kernel_keys - {"out_dir", "emit_plot_data"} | {"kernel_params"}
