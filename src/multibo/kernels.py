@@ -199,6 +199,7 @@ class Polynomial:
         out = np.empty((m, 1 + n, 1 + n))
         out[:, 0, 0] = self.alpha_bar * sq**2
         out[:, 0, 1:] = out[:, 1:, 0] = 2.0 * self.alpha_bar * sq[:, None] * Y
+        # in place: the engine asks for the blocks of every candidate at once
         hess = np.multiply(Y[:, :, None], Y[:, None, :], out=out[:, 1:, 1:])
         hess += sq[:, None, None] * np.eye(n)
         hess *= 2.0 * self.alpha_bar
