@@ -31,6 +31,34 @@ gradient means and variances, never the conditional solve, so it does not
 depend on the degenerate-case policy below. Rounding is monotone, so
 factor * band <= max(factor, 0) * bound holds for the computed values too.
 
+``improvement_bound`` bounds the computed max(factor, 0) in the same spirit,
+so that a sweep can skip the gradient solve. The computed PI is at most 1
+(0.5 erfc never exceeds 1), as is the factor 1 of ``derivative_only``. For
+joint EI, let g = min_d S_yy,dd - sum_{d<e} |S_yy,de|, which is no larger
+than any row's Gershgorin margin. Where g > 0 and g >= max_d S_yy,dd / 2:
+
+* Varah's bound, ||S_yy^-1||_inf <= 1 / g, gives |t|_inf <= max_d |S_xy,d| / g.
+  It holds for both branches of the degenerate-case policy below: the
+  diagonal floor only raises the margin, and the fallback divides by
+  dsafe_d >= S_yy,dd >= g. The margin keeps the condition number
+  kappa_inf <= 3, so a factor 2 covers the rounding of the closed-form and
+  of the LAPACK solve.
+* The conditional mean is then at most
+  mu_x + 2 (max_d |S_xy,d| / g) sum_d |mu_y,d|, plus ``_BOUND_REL`` times
+  |mu_x| and that gain for its own rounding.
+* EI grows with the mean, and E[(X - xi)+] <= (m - xi)+ + E[(X - m)+], so
+  EI(m, s) <= max(m - xi, 0) + s phi(0), where s <= sqrt(max(S_xx, 0)) as
+  the conditional variance is clamped into [0, S_xx]. The computed Q and
+  phi are at most 1 and phi(0), so by monotone rounding the computed EI
+  obeys the same bound; ``_BOUND_REL`` and ``_BOUND_ABS`` go on top.
+
+Elsewhere (and for vanilla EI) the bound is the exact max(factor, 0),
+solved on those candidates alone. Wherever any of a candidate's mean or
+packed entries is non-finite, the bound is NaN, so a sweep scores that
+candidate exactly. The closed bound never reads the degenerate-case
+policy's output: it holds for any policy that only shrinks t on collapsed
+blocks.
+
 Every formula has one implementation, vectorised over N candidates. A batch
 is entry-major: joint means ``mean`` (1 + n, N), the value in row 0, and
 packed joint covariances ``packed`` (P, N), one row per entry of the
@@ -138,18 +166,25 @@ def pack(cov) -> np.ndarray:
 
 
 def improvement_probability(mean, std, threshold):
-    """P(value > threshold) for Gaussian values; an indicator where std is 0."""
-    degenerate = np.where(mean > threshold, 1.0, np.where(mean == threshold, 0.5, 0.0))
-    safe = np.where(std > 0.0, std, 1.0)
-    return np.where(std > 0.0, _q((threshold - mean) / safe), degenerate)
+    """P(value > threshold) for Gaussian values; an indicator where std is 0
+    (1/2 at the threshold), and NaN where the mean or the std is NaN."""
+    if np.all(std > 0.0):
+        return _q((threshold - mean) / std)
+    safe = np.where(std <= 0.0, 1.0, std)
+    indicator = 0.5 + 0.5 * np.sign(mean - threshold)
+    return np.where(std <= 0.0, indicator, _q((threshold - mean) / safe))
 
 
 def expected_improvement(mean, std, threshold):
-    """E[(value - threshold)+] for Gaussian values, in closed form."""
-    safe = np.where(std > 0.0, std, 1.0)
+    """E[(value - threshold)+] for Gaussian values, in closed form; NaN where
+    the mean or the std is NaN."""
+    if np.all(std > 0.0):
+        z = (threshold - mean) / std
+        return (mean - threshold) * _q(z) + std * _phi(z)
+    safe = np.where(std <= 0.0, 1.0, std)
     z = (threshold - mean) / safe
     smooth = (mean - threshold) * _q(z) + safe * _phi(z)
-    return np.where(std > 0.0, smooth, np.maximum(mean - threshold, 0.0))
+    return np.where(std <= 0.0, np.maximum(mean - threshold, 0.0), smooth)
 
 
 def band_probability(mean, packed, epsilon):
@@ -341,6 +376,78 @@ def improvement_factor(cfg: AcquisitionConfig, mean, packed) -> np.ndarray:
     if cfg.family in ("joint_pi", "vanilla_pi"):
         return improvement_probability(value_mean, np.sqrt(value_var), cfg.threshold)
     return expected_improvement(value_mean, np.sqrt(value_var), cfg.threshold)
+
+
+def improvement_bound(cfg: AcquisitionConfig, mean, packed) -> np.ndarray:
+    """An upper bound on the computed max(``improvement_factor``, 0) at N
+    candidates that skips the gradient solve wherever it can, and NaN
+    wherever any of a candidate's mean or packed entries is non-finite.
+
+    PI and the factor of ``derivative_only`` are at most 1. For joint EI, a
+    gradient block diagonally dominant by a margin of at least half its
+    largest variance gets a closed bound (see the module docstring); every
+    other candidate gets the exact max(factor, 0), solved on those alone.
+    """
+    N = mean.shape[1]
+    if cfg.family in ("joint_pi", "vanilla_pi", "derivative_only"):
+        bound = np.ones(N)
+    else:
+        bound = np.empty(N)
+        closed = _ei_margin_bound(cfg.threshold, mean, packed, bound) if cfg.uses_band \
+            else np.zeros(N, dtype=bool)
+        rest = np.flatnonzero(~closed)
+        if rest.size:
+            bound[rest] = np.maximum(improvement_factor(cfg, mean[:, rest], packed[:, rest]), 0.0)
+    bound[~(np.isfinite(mean).all(axis=0) & np.isfinite(packed).all(axis=0))] = np.nan
+    return bound
+
+
+def _ei_margin_bound(threshold, mean, packed, out):
+    """Write the closed joint-EI bound into ``out`` and return where it
+    holds: where the margin g = min_d S_yy,dd - sum_{d<e} |S_yy,de| is
+    positive and at least half the largest S_yy,dd. ``out`` is garbage
+    elsewhere."""
+    n = mean.shape[0] - 1
+    pos = _position(n)
+    # in place: the engine calls this on every candidate of every step
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        margin = packed[pos[(1, 1)]].copy()
+        largest = margin.copy()
+        for d in range(1, n):
+            np.minimum(margin, packed[pos[(1 + d, 1 + d)]], out=margin)
+            np.maximum(largest, packed[pos[(1 + d, 1 + d)]], out=largest)
+        for d in range(n):
+            for e in range(d + 1, n):
+                margin -= np.abs(packed[pos[(1 + d, 1 + e)]])
+        largest *= 0.5
+        closed = margin >= largest
+        closed &= margin > 0.0
+        # |t|_inf <= max_d |S_xy,d| / g (Varah), doubled for the solve's
+        # rounding, bounds the gain sum_d t_d mu_y,d of the conditional mean
+        gain = np.abs(packed[1])
+        mass = np.abs(mean[1])
+        for d in range(1, n):
+            np.maximum(gain, np.abs(packed[1 + d]), out=gain)
+            mass += np.abs(mean[1 + d])
+        gain *= mass
+        gain /= margin
+        gain *= 2.0
+        # the conditional mean is at most mu_x + gain, plus its own rounding
+        reach = np.abs(mean[0])
+        reach += gain
+        reach *= _BOUND_REL
+        reach += mean[0]
+        reach += gain
+        reach -= threshold
+        # EI(m, s) <= max(m - xi, 0) + s phi(0), s <= sqrt(max(S_xx, 0))
+        np.maximum(reach, 0.0, out=reach)
+        spread = np.maximum(packed[0], 0.0)
+        np.sqrt(spread, out=spread)
+        spread *= _INV_SQRT_2PI
+        reach += spread
+        reach *= 1.0 + _BOUND_REL
+        np.add(reach, _BOUND_ABS, out=out)
+    return closed
 
 
 def values(cfg: AcquisitionConfig, mean, packed) -> np.ndarray:

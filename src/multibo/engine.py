@@ -79,28 +79,37 @@ passes spend their time moving temporaries through memory, so every
 per-step pass (the dense cross rows of new samples, the gradient fixups,
 the covariance downdate and mean update with the new sample's joint
 column, and the whole acquisition) runs block by block instead: the
-candidates are split into equal blocks of at most ``_CHUNK`` (20,000)
-candidates, whose temporaries stay in cache, and the blocks are spread over
-a module-level thread pool with one worker per CPU the process may run on
-(numpy releases the GIL inside its loops). Over the factors, the append
-GEMM's 1 + n output rows are independent (M x k) @ (k x m_n) products, and
-they are spread over the same pool. Where the candidates fit in one block,
-everything runs in the calling thread.
+candidates are split into equal blocks of at most ``_SWEEP`` (65,536)
+candidates, and the blocks are spread over a module-level thread pool with
+one worker per CPU the process may run on. numpy releases the GIL inside
+its loops and takes it back between calls, so two workers hand the GIL
+over at every call, and the block size is chosen so that a call outlasts
+a hand-off: on 2 vCPUs, ``np.multiply`` over 20,000 doubles ran in two
+threads at 0.74x the speed of one thread, with ~40,000 voluntary context
+switches, and over 60,000 doubles at 1.81x, with ~1,000. A row of a
+block's temporaries is then 512 KB, so a few still fit in a core's L2.
+Over the factors, the append GEMM's 1 + n output rows are independent
+(M x k) @ (k x m_n) products, and they are spread over the same pool.
+Where the candidates fit in one block, everything runs in the calling
+thread.
 
 The select step needs only the feasible argmax and the value there, and
 the gradient band is narrow, so over more than one block, with a
 feasibility mask and a family with a band, ``acquisition_values`` scores
 exactly only the candidates that can win, in two passes over the pool. The
-first computes, per block, the exact improvement factor f and the bound
-max(f, 0) * ``acquisition.band_bound``, -inf where infeasible and +inf
-where NaN (a NaN value stays a candidate), keeps it in the output buffer
-and returns the block's top bound. The largest exact value at those tops,
-taken in one call, is at most the feasible maximum. The second pass
-writes the exact value (f recomputed, not kept N wide) wherever the bound
-reaches it and -inf everywhere else: no candidate it prunes can reach the
-maximum or tie it. The argmax (ties to the lowest index) and the value
-there are therefore the full sweep's, whatever the block size; which other
-candidates read -inf depends on the block bounds, not on the worker count.
+first, the bound pass, computes per block the bound
+``acquisition.improvement_bound`` * ``acquisition.band_bound``, which
+needs no erfc and skips the gradient solve wherever it can (every
+candidate for joint PI and derivative-only, the diagonally dominant
+gradient blocks for joint EI), -inf where infeasible and +inf where NaN (a
+NaN input, hence a NaN value, stays a candidate), keeps it in the output
+buffer and returns the block's top bound. The largest exact value at those
+tops, taken in one call, is at most the feasible maximum. The second pass
+writes the exact value wherever the bound reaches it and -inf everywhere
+else: no candidate it prunes can reach the maximum or tie it. The argmax
+(ties to the lowest index) and the value there are therefore the full
+sweep's, whatever the block size; which other candidates read -inf
+depends on the block bounds, not on the worker count.
 Without a mask, for the vanilla families or within one block, every
 candidate is scored, and the mask then sets -inf: over a few hundred
 candidates the extra pass costs more than the band it skips.
@@ -117,7 +126,12 @@ between threads, and forked children inherit it. Without procfs, an
 OpenBLAS or such a setter, nothing is pinned.
 
 The remaining BLAS calls (the dense cache's GEMM, full width, and the
-triangular solves of ``fit`` and ``state``) run on the calling thread. The
+triangular solves of ``fit``, ``append`` and ``state``) run on the calling
+thread. The three small solves of every append (z, the new factor row and
+c) call LAPACK's ``dtrtrs`` directly, with the arguments
+``scipy.linalg.solve_triangular`` would pass it, which skips that
+wrapper's ~25 us of checks per call; ``append`` and ``fit`` reject a
+non-finite told value or point themselves, as its check did. The
 new sample's factors are computed on the calling thread too; they are
 small. So is every call of the kernel's matrix methods: ``eval_matrix``
 (the kernel matrix in ``fit``, the new sample's row in ``append``),
@@ -128,7 +142,7 @@ only: of the kernel they call ``fill_cross``, ``finish_dot`` and
 ``joint_column``, never ``eval_matrix``, ``grad_tensor`` or
 ``joint_blocks_batch``; over the factors they form kernel values for their
 block as products of factor entries. They call ``acquisition.values``,
-``improvement_factor`` and ``band_bound``, which use nothing in ``gp`` and,
+``improvement_bound`` and ``band_bound``, which use nothing in ``gp`` and,
 of ``numerics``, only the private Gaussian tail and density; for n <= 4
 they are elementwise numpy too, and for n >= 5 the gradient solve calls
 numpy's batched LAPACK in the workers. So anything that wraps the kernel's
@@ -137,10 +151,13 @@ from one thread. No arithmetic of the per-step sweep depends on the block
 bounds, so what ``append`` and ``acquisition_values`` compute does not
 depend on the block size or the worker count, but for which candidates
 the pruned acquisition sets to -inf. A full rebuild does depend on them:
-``fit`` rebuilds the packed covariances and the mean in ``_CHUNK``-row
-blocks, and the rounding of each block's triangular solve depends on its
-row count, so the covariances and the mean after a fit or refit can move
-in the last bits when ``_CHUNK`` changes.
+``fit`` rebuilds the packed covariances and the mean in blocks of their
+own, ``_CHUNK`` (20,000) rows, and the rounding of each block's triangular
+solve depends on its row count, so the covariances and the mean after a
+fit or refit can move in the last bits when ``_CHUNK`` changes, but not
+when ``_SWEEP`` does. The construction packs a non-stationary kernel's
+prior blocks in ``_CHUNK``-row blocks too, and ``optimizer``'s
+feasibility mask bounds its distance matrix by them.
 """
 
 from __future__ import annotations
@@ -153,13 +170,15 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from . import acquisition, numerics
 from .errors import GridTooLarge
 from .gp import GPState
 from .numerics import CholeskyFactor
 
-_CHUNK = 20_000  # candidate rows per block in full rebuilds and sweeps
+_CHUNK = 20_000  # candidate rows per block of a full rebuild and of the feasibility mask
+_SWEEP = 65_536  # candidate rows per block of the per-step sweeps
 
 _pool = None
 _pool_lock = threading.Lock()
@@ -212,6 +231,15 @@ def _pin_blas(libraries):
 
 
 _pin_blas(_openblas_libraries())
+
+
+def _trtrs(a, b, lower, trans):
+    """LAPACK's triangular solve with the arguments ``scipy.linalg.solve_triangular``
+    would pass it, without that wrapper's checks and their ~25 us per call."""
+    x, info = dtrtrs(a, b, lower=lower, trans=trans)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"triangular solve failed: LAPACK info {info}")
+    return x
 
 
 class _DenseCross:
@@ -337,9 +365,16 @@ class CandidateEvaluator:
         # output of the GEMM A(x) c, reused by every append
         self._raw = np.empty((1 + n, n_cand))
         self._scov = np.empty((len(self._pairs), n_cand))
-        # a stationary kernel's blocks are candidate-independent; keep one column
-        k0 = kernel.joint_blocks_batch(self.cands[:1] if kernel.stationary else self.cands)
-        self._k0p = np.array([k0[:, i, j] for i, j in self._pairs])
+        # a stationary kernel's blocks are candidate-independent; keep one
+        # column. Otherwise pack them block by block: the dense blocks of
+        # every candidate at once would be a transient (1 + n)^2 doubles each
+        width = 1 if kernel.stationary else n_cand
+        self._k0p = np.empty((len(self._pairs), width))
+        for start in range(0, width, _CHUNK):
+            block = slice(start, min(start + _CHUNK, width))
+            k0 = kernel.joint_blocks_batch(self.cands[block])
+            for p, (i, j) in enumerate(self._pairs):
+                self._k0p[p, block] = k0[:, i, j]
         self._mu = np.empty((1 + n, n_cand))
 
     def _cross_shape(self, capacity):
@@ -391,14 +426,14 @@ class CandidateEvaluator:
     def _sweep(self, fn):
         """``fn(rows)`` for each block of candidate rows; results in block order."""
         n_cand = self.cands.shape[0]
-        count = -(-n_cand // _CHUNK)
+        count = -(-n_cand // _SWEEP)
         return self._spread(fn, [slice(b * n_cand // count, (b + 1) * n_cand // count)
                                  for b in range(count)])
 
     def _spread(self, fn, items):
         """``fn(item)`` for each of ``items``, results in order: on the pool
         when the candidates span more than one block, else in this thread."""
-        if self.cands.shape[0] <= _CHUNK:
+        if self.cands.shape[0] <= _SWEEP:
             return [fn(item) for item in items]
         return list(_executor().map(fn, items))
 
@@ -408,6 +443,8 @@ class CandidateEvaluator:
         """Full (re)fit on samples ``X`` (k, n), values ``f``; rebuilds all caches."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         f = np.asarray(f, dtype=float).ravel()
+        if not np.isfinite(f).all():
+            raise ValueError("sample values must be finite")
         k = X.shape[0]
         if k > self.capacity:
             raise ValueError(f"sample count {k} exceeds evaluator capacity {self.capacity}")
@@ -426,14 +463,14 @@ class CandidateEvaluator:
     def _refresh_z(self):
         """z = L^-1 (f - m), the mean's weights on the rows L^-1 A(x)^T."""
         k = self._k
-        self._z = solve_triangular(self._L[:k, :k], self._f[:k] - self.prior_mean, lower=True)
+        self._z = _trtrs(self._L[:k, :k].T, self._f[:k] - self.prior_mean, lower=0, trans=1)
 
     def _back_solve(self, b):
         """x with L^T x = b for the filled k x k factor. A Fortran-ordered
         copy keeps LAPACK on one (lower, transposed) path at every capacity;
         a full, C-contiguous slice would take another that rounds differently."""
         k = self._k
-        return solve_triangular(np.asfortranarray(self._L[:k, :k]), b, lower=True, trans="T")
+        return _trtrs(np.asfortranarray(self._L[:k, :k]), b, lower=1, trans=1)
 
     def _rebuild_scov(self):
         k = self._k
@@ -457,6 +494,8 @@ class CandidateEvaluator:
     def append(self, x_new, f_new):
         """Add one observation; falls back to a full refit when the factor degrades."""
         x_new = np.asarray(x_new, dtype=float).ravel()
+        if not (np.isfinite(x_new).all() and np.isfinite(f_new)):
+            raise ValueError(f"a told point and value must be finite, got {x_new.tolist()}, {f_new}")
         k = self._k
         if k + 1 > self.capacity:
             self._grow(max(1, 2 * self.capacity))
@@ -466,7 +505,7 @@ class CandidateEvaluator:
         k_vec = self.kernel.eval_matrix(x_new[None, :], self._X[:k])[0]
         k_self = self.kernel.joint_blocks_batch(x_new[None, :])[0, 0, 0]
         L = self._L[:k, :k]
-        l_row = solve_triangular(L, k_vec, lower=True)
+        l_row = _trtrs(L.T, k_vec, lower=0, trans=1)
         lam2 = k_self + self._jitter - float(l_row @ l_row)
         if lam2 <= 1e-12 * max(k_self, 1.0):
             # near-duplicate sample: refactor everything through the schedule
@@ -550,7 +589,7 @@ class CandidateEvaluator:
         argmax and the value there are those of the full sweep."""
         n_cand = self.cands.shape[0]
         out = np.empty(n_cand)
-        if mask is None or not cfg.uses_band or n_cand <= _CHUNK:
+        if mask is None or not cfg.uses_band or n_cand <= _SWEEP:
             def acquire(rows):
                 out[rows] = acquisition.values(cfg, self._mu[:, rows], self._scov[:, rows])
 
@@ -562,8 +601,7 @@ class CandidateEvaluator:
         def bound(rows):
             # an upper bound on each candidate's value; NaN may hide a NaN value
             mu, scov, ub = self._mu[:, rows], self._scov[:, rows], out[rows]
-            factor = acquisition.improvement_factor(cfg, mu, scov)
-            np.multiply(np.maximum(factor, 0.0, out=factor),
+            np.multiply(acquisition.improvement_bound(cfg, mu, scov),
                         acquisition.band_bound(mu, scov, cfg.epsilon), out=ub)
             ub[np.isnan(ub)] = np.inf
             ub[~mask[rows]] = -np.inf

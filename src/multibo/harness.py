@@ -259,8 +259,14 @@ def parse_config_text(text) -> ExperimentConfig:
         raise ConfigError(f"dimension {values['dimension']}: {benchmark} is {want}-dimensional")
     if values["hit_radius"] is None:
         values["hit_radius"] = values["grid_step"] or 0.1
-    if values["grid_count"] is not None and len(values["grid_count"]) == 1:
-        values["grid_count"] *= n_bounds
+    counts = values["grid_count"]
+    if counts is not None:
+        if len(counts) == 1:
+            values["grid_count"] = counts = counts * n_bounds
+        if len(counts) != n_bounds:
+            raise ConfigError(f"grid_count must give one count or one per bound, got {list(counts)}")
+        if min(counts) < 1:
+            raise ConfigError(f"grid_count must all be at least 1, got {list(counts)}")
 
     kernel = values["kernel"]
     if kernel not in _KERNELS:

@@ -7,8 +7,8 @@ seed 0, and freezes every column of each ``trace.csv`` except
 formulas. Those runs fit in one sweep block, so two 40,000-candidate
 variants of ``griewank2d_jointpi.cfg`` (``LARGE``, the grid and random
 variants of ``tests/test_determinism.py`` at budget 15) are frozen too:
-their sweeps span several blocks and take the engine's pruned acquisition
-path. No bundled config is 4-D, so one ask/tell loop on 4-D Griewank
+they run with sweep blocks of ``LARGE_SWEEP`` rows, so their sweeps span
+two blocks and take the engine's pruned acquisition path. No bundled config is 4-D, so one ask/tell loop on 4-D Griewank
 (``ASKTELL_4D``) is frozen beside them: each round's chosen index, point
 and value, again without the acquisition. ``tests/test_selections.py``
 checks that the runs still select the same points.
@@ -21,10 +21,11 @@ from __future__ import annotations
 import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
-from multibo import gp, harness, objectives, optimizer
+from multibo import engine, gp, harness, objectives, optimizer
 from multibo.acquisition import AcquisitionConfig
 from multibo.kernels import SquaredExponential
 from test_determinism import CANDIDATES, CONFIG
@@ -42,6 +43,7 @@ RUNS = {
 
 # output directory name -> the config line that gives CONFIG its 40,000 candidates
 LARGE = {f"griewank2d_jointpi_40k_{kind}": line for kind, line in CANDIDATES.items()}
+LARGE_SWEEP = 20_000
 
 
 # output directory name of the 3-D Griewank grid config cut to budget 40
@@ -122,7 +124,8 @@ def run_all(out_root) -> dict[str, list[str]]:
                      out_root / f"{GRID3D}.cfg")
     runs[GRID3D] = ["run", str(cut)]
     for name, argv in runs.items():
-        assert harness.main([*argv, "--out", str(out_root / name)]) == 0, name
+        with mock.patch.object(engine, "_SWEEP", LARGE_SWEEP if name in LARGE else engine._SWEEP):
+            assert harness.main([*argv, "--out", str(out_root / name)]) == 0, name
     selections = {
         "_".join(path.parent.relative_to(out_root).parts): selection_lines(path)
         for path in sorted(out_root.rglob("trace.csv"))

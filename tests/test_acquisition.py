@@ -18,6 +18,8 @@ from multibo.acquisition import (
     evaluate,
     expected_improvement,
     gradient_band_probability,
+    improvement_bound,
+    improvement_factor,
     improvement_probability,
     pack,
     packed_pairs,
@@ -76,6 +78,9 @@ def test_improvement_probability_degenerate():
     assert improvement_probability(0.5, 0.0, 1.0) == 0.0
     assert improvement_probability(1.0, 0.0, 1.0) == 0.5
     assert improvement_probability(0.0, 1.0, 0.0) == pytest.approx(0.5)
+    # a NaN mean or std reads NaN, in a batch with a zero std too
+    got = improvement_probability(np.array([np.nan, 0.0, 2.0]), np.array([0.0, np.nan, 0.0]), 1.0)
+    np.testing.assert_array_equal(got, [np.nan, np.nan, 1.0])
 
 
 def test_expected_improvement_closed_form():
@@ -83,6 +88,8 @@ def test_expected_improvement_closed_form():
     assert expected_improvement(0.0, 1.0, 0.0) == pytest.approx(_phi(0.0), rel=1e-12)
     assert expected_improvement(3.0, 0.0, 1.0) == pytest.approx(2.0)
     assert expected_improvement(0.0, 0.0, 1.0) == 0.0
+    got = expected_improvement(np.array([np.nan, 2.0, 3.0]), np.array([0.0, np.nan, 0.0]), 1.0)
+    np.testing.assert_array_equal(got, [np.nan, np.nan, 2.0])
 
 
 def test_joint_pi_certain_improvement_reduces_to_band():
@@ -443,3 +450,81 @@ def test_band_bound_holds_on_special_blocks():
     special = np.array([0.0, np.nan, np.inf, -np.inf, 1e300, 5e-324, -1.0, 2.0])
     mu, var = (a.ravel() for a in np.meshgrid(special, special))
     assert_band_bound_holds(np.stack([np.zeros_like(mu), mu]), np.stack([var, var, var]), 0.5)
+
+
+def assert_improvement_bound_holds(mean, packed, threshold):
+    """For each family with a band: ``improvement_bound`` is NaN exactly where
+    an input is non-finite, and elsewhere at least max(improvement_factor, 0)
+    wherever that is finite."""
+    bad = ~(np.isfinite(mean).all(axis=0) & np.isfinite(packed).all(axis=0))
+    for family in ("joint_pi", "joint_ei", "derivative_only"):
+        cfg = AcquisitionConfig(family, threshold, 0.3)
+        with np.errstate(all="ignore"):
+            factor = np.maximum(improvement_factor(cfg, mean, packed), 0.0)
+            bound = improvement_bound(cfg, mean, packed)
+        np.testing.assert_array_equal(np.isnan(bound), bad, err_msg=family)
+        ok = bad | ~np.isfinite(factor) | (bound >= factor)
+        assert ok.all(), (family, mean[:, ~ok], packed[:, ~ok], factor[~ok], bound[~ok])
+
+
+def _gradient_block(kind, n, rng):
+    """One n x n gradient block of ``kind``, at unit scale."""
+    off = np.triu(rng.uniform(-1.0, 1.0, (n, n)), 1)
+    off += off.T
+    total = np.abs(np.triu(off, 1)).sum()
+    if kind == "dominant":  # margin g at least half the largest variance
+        return off + np.diag(2.0 * total + rng.uniform(0.5, 1.0, n))
+    if kind == "half margin":  # g within a few ulps of half the variance, either side
+        return off + np.eye(n) * 2.0 * max(total, 1.0) * (1.0 + rng.integers(-4, 5) * 2.0**-52)
+    if kind == "barely dominant":  # g -> 0+
+        return off + np.diag(total * (1.0 + 10.0 ** -rng.uniform(1.0, 15.0, n)))
+    b = rng.standard_normal((n, n))
+    if kind == "collapsed":  # round-off around zero, indefinite
+        return 1e-8 * (b + b.T)
+    block = b @ b.T
+    if kind == "near-singular":
+        w, q = np.linalg.eigh(block)
+        w[: rng.integers(1, n + 1)] = w[-1] * 10.0 ** -rng.uniform(8.0, 16.0)
+        block = (q * w) @ q.T
+    return block
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    kind=st.sampled_from(["psd", "dominant", "half margin", "barely dominant", "near-singular",
+                          "collapsed"]),
+    log_var=st.floats(-20.0, 6.0),
+    log_mu=st.floats(-6.0, 6.0),
+    poison=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_improvement_bound_is_at_least_the_computed_factor(n, kind, log_var, log_mu, poison, seed):
+    # 32 candidates whose gradient blocks are of one kind, at one scale; the
+    # value entries come from a random PSD joint covariance
+    rng = np.random.default_rng(seed)
+    size, pairs = 32, packed_pairs(n)
+    cov = np.empty((size, 1 + n, 1 + n))
+    for c in range(size):
+        a = rng.standard_normal((1 + n, 1 + n))
+        cov[c] = a @ a.T
+        cov[c, 1:, 1:] = _gradient_block(kind, n, rng)
+    cov *= 10.0 ** log_var
+    mean = 10.0 ** log_mu * rng.standard_normal((1 + n, size))
+    packed = np.array([cov[:, i, j] for i, j in pairs])
+    if poison:  # a NaN or infinite entry in a quarter of the candidates
+        for c in rng.choice(size, size // 4, replace=False):
+            rows = mean if rng.random() < 0.5 else packed
+            rows[rng.integers(len(rows)), c] = rng.choice([np.nan, np.inf, -np.inf])
+    assert_improvement_bound_holds(mean, packed, 10.0 ** log_mu * rng.standard_normal())
+
+
+def test_improvement_bound_holds_on_special_blocks():
+    # the collapsed block of joint EI on synthetic1d seed 3, step 34
+    mean, packed = np.array([[0.458], [-0.777]]), np.array([[-7.4e-12], [7.6e-10], [-7.8e-8]])
+    for threshold in (-1.0, 0.0, 0.458, 1.0):
+        assert_improvement_bound_holds(mean, packed, threshold)
+    # NaN, infinite and extreme entries, one candidate per combination
+    special = np.array([0.0, np.nan, np.inf, -np.inf, 1e300, 5e-324, -1.0, 2.0])
+    mu, var = (a.ravel() for a in np.meshgrid(special, special))
+    assert_improvement_bound_holds(np.stack([mu, mu]), np.stack([var, 0.5 * var, var]), 0.2)

@@ -8,6 +8,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from multibo import engine, objectives, optimizer
 from multibo.acquisition import AcquisitionConfig, packed_pairs
@@ -25,24 +27,14 @@ from multibo.kernels import Polynomial, SquaredExponential
 from test_acquisition import diagonal_fallback
 
 FAMILIES = ("joint_pi", "joint_ei", "vanilla_pi", "vanilla_ei", "derivative_only")
-_DEFAULT_CHUNK = engine._CHUNK
-_rebuild_scov = CandidateEvaluator._rebuild_scov
-
-
-def _rebuild_in_default_blocks(evaluator):
-    # the rebuild of the covariances and the mean in a (re)fit blocks its
-    # triangular solves by _CHUNK too, and their rounding depends on the
-    # block bounds; holding it at the default isolates the sweep
-    with mock.patch.object(engine, "_CHUNK", _DEFAULT_CHUNK):
-        _rebuild_scov(evaluator)
+_DEFAULT_SWEEP = engine._SWEEP
 
 
 def _evaluate(kernel, cands, X, f, duplicate, chunk, axes=None):
     """Fit on two samples, append the rest (and a duplicate), then read every
     output; the evaluator's sweeps run in blocks of ``chunk`` rows. ``axes``
     are the grid axes of the candidates, if they form one."""
-    with mock.patch.object(engine, "_CHUNK", chunk), \
-            mock.patch.object(CandidateEvaluator, "_rebuild_scov", _rebuild_in_default_blocks):
+    with mock.patch.object(engine, "_SWEEP", chunk):
         ev = CandidateEvaluator(kernel, cands, 0.25, capacity=len(X) + 1, axes=axes)
         try:
             ev.fit(X[:2], f[:2])
@@ -88,7 +80,7 @@ def test_blocked_sweep_matches_single_block(n, polynomial, seed, n_cands, n_samp
         placed = min(on_samples, n_samples, n_cands)
         cands[:placed] = X[:placed]  # candidates sitting on samples
     kernel = Polynomial(1.5) if polynomial else SquaredExponential(2.0, 0.6)
-    single = _evaluate(kernel, cands, X, f, duplicate, _DEFAULT_CHUNK, axes)
+    single = _evaluate(kernel, cands, X, f, duplicate, _DEFAULT_SWEEP, axes)
     blocked = _evaluate(kernel, cands, X, f, duplicate, chunk, axes)
     if not isinstance(single, dict):
         assert blocked is single
@@ -104,7 +96,7 @@ def test_sweep_with_more_workers_than_cores_matches_single_block():
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, 3)
     # random candidates keep the dense cache; the grid takes per-axis factors
     for cands, grid_axes in ((rng.uniform(-1.0, 1.0, (200, 3)), None), (grid, axes)):
-        want = _evaluate(SquaredExponential(2.0, 0.6), cands, X, f, False, _DEFAULT_CHUNK, grid_axes)
+        want = _evaluate(SquaredExponential(2.0, 0.6), cands, X, f, False, _DEFAULT_SWEEP, grid_axes)
         interval = sys.getswitchinterval()
         with ThreadPoolExecutor(8) as pool, mock.patch.object(engine, "_pool", pool):
             sys.setswitchinterval(1e-6)
@@ -172,14 +164,14 @@ def test_pruned_acquisition_matches_the_full_sweep(n, grid, family, seed, chunks
     full = _masked_full(ev, cfg, mask)
     results = []
     for chunk in chunks:
-        with mock.patch.object(engine, "_CHUNK", chunk):
+        with mock.patch.object(engine, "_SWEEP", chunk):
             got = ev.acquisition_values(cfg, mask)
         _assert_pruned_matches(got, full, mask)
         results.append(got)
     # which candidates are pruned depends on the blocks, not on the workers
     interval = sys.getswitchinterval()
     with ThreadPoolExecutor(8) as pool, mock.patch.object(engine, "_pool", pool), \
-            mock.patch.object(engine, "_CHUNK", chunks[-1]):
+            mock.patch.object(engine, "_SWEEP", chunks[-1]):
         sys.setswitchinterval(1e-6)
         try:
             crowded = ev.acquisition_values(cfg, mask)
@@ -193,24 +185,40 @@ def test_pruned_acquisition_reads_minus_inf_without_a_feasible_candidate():
     ev = CandidateEvaluator(SquaredExponential(2.0, 0.6), rng.uniform(-1.0, 1.0, (30, 2)), 0.0,
                             capacity=3)
     ev.fit(rng.uniform(-1.0, 1.0, (3, 2)), rng.standard_normal(3))
-    with mock.patch.object(engine, "_CHUNK", 4):
+    with mock.patch.object(engine, "_SWEEP", 4):
         got = ev.acquisition_values(AcquisitionConfig("joint_ei", 0.2, 0.3), np.zeros(30, bool))
     assert (got == -np.inf).all()
 
 
-@pytest.mark.parametrize("chunk", [_DEFAULT_CHUNK, 7], ids=["full", "pruned"])
-@pytest.mark.parametrize("family, row", [("joint_ei", 0), ("joint_pi", 1), ("derivative_only", 2)])
-def test_ask_names_a_nan_acquisition(chunk, family, row):
+# where the NaN goes, per family: the value mean (row 0 of the mean), a
+# gradient mean, or the packed S_xy entry of the first gradient component,
+# which the band does not read; derivative_only reads the gradient mean alone
+NAN_AT = [(family, name, row) for family, gradient_row in
+          (("joint_ei", 1), ("joint_pi", 1), ("derivative_only", 2))
+          for name, row in (("_mu", 0), ("_mu", gradient_row), ("_scov", 1))]
+
+
+@pytest.mark.parametrize("chunk", [_DEFAULT_SWEEP, 7], ids=["full", "pruned"])
+@pytest.mark.parametrize("family, name, row", NAN_AT, ids=[
+    f"{family}-{row}" if name == "_mu" else f"{family}-packed{row}" for family, name, row in NAN_AT])
+def test_ask_names_a_nan_acquisition(chunk, family, name, row):
     rng = np.random.default_rng(8)
     cands = rng.uniform(-1.0, 1.0, (40, 2))
     X = rng.uniform(-1.0, 1.0, (4, 2))
-    with mock.patch.object(engine, "_CHUNK", chunk):
+    cfg = AcquisitionConfig(family, 0.2, 0.3)
+    with mock.patch.object(engine, "_SWEEP", chunk):
         session = optimizer.Session(SquaredExponential(2.0, 0.6), cands, 0.25, 0.0,
                                     capacity=4, jitter_schedule=(0.0,))
         session.fit(X, rng.standard_normal(4), X)
-        session.evaluator._mu[row, 23] = np.nan
-        with pytest.raises(NonFinite, match="NaN at candidate 23"):
-            session.ask(AcquisitionConfig(family, 0.2, 0.3))
+        getattr(session.evaluator, name)[row, 23] = np.nan
+        full = session.evaluator.acquisition_values(cfg)
+        reads = family != "derivative_only" or (name, row) == ("_mu", 2)
+        assert np.isnan(full[23]) == reads
+        if reads:
+            with pytest.raises(NonFinite, match="NaN at candidate 23"):
+                session.ask(cfg)
+        else:
+            assert session.ask(cfg) == (int(np.argmax(full)), full.max())
 
 
 def _evaluate_in_child(conn, *args):
@@ -290,7 +298,7 @@ def test_n4_gradient_solve_does_not_depend_on_the_block_size():
                 1.0 if (i == j or (i, j) == (0, 1)) else 0.0
     cfg = AcquisitionConfig("joint_ei", 0.2, 0.3)
     want = ev.acquisition_values(cfg).copy()
-    with mock.patch.object(engine, "_CHUNK", 3):
+    with mock.patch.object(engine, "_SWEEP", 3):
         got = ev.acquisition_values(cfg)
     np.testing.assert_array_equal(got, want)
     _, _, fallback = diagonal_fallback(ev.posterior_mean()[0], ev.joint_cov(0), cfg)
@@ -325,6 +333,60 @@ def test_outputs_do_not_depend_on_the_capacity(kernel, n):
             cfg = AcquisitionConfig(family, 0.2, 0.3)
             np.testing.assert_array_equal(full.acquisition_values(cfg),
                                           half.acquisition_values(cfg), err_msg=family)
+
+
+@pytest.mark.parametrize("k, capacity", [(1, 1), (1, 4), (6, 6), (6, 9)])
+def test_triangular_solves_match_scipy(k, capacity):
+    # the factor's slice is C-contiguous at capacity and strided below it
+    rng = np.random.default_rng(k + capacity)
+    full = np.zeros((capacity, capacity))
+    full[:k, :k] = np.tril(rng.uniform(0.5, 1.5, (k, k)))
+    L, b = full[:k, :k], rng.standard_normal(k)
+    np.testing.assert_array_equal(engine._trtrs(L.T, b, lower=0, trans=1),
+                                  solve_triangular(L, b, lower=True))
+    F = np.asfortranarray(L)
+    np.testing.assert_array_equal(engine._trtrs(F, b, lower=1, trans=1),
+                                  solve_triangular(F, b, lower=True, trans="T"))
+    full[k - 1, k - 1] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        engine._trtrs(L.T, b, lower=0, trans=1)
+
+
+@pytest.mark.parametrize("x, y", [((np.nan, 0.1), 0.5), ((0.2, np.inf), 0.5), ((0.2, 0.1), np.nan),
+                                  ((0.2, 0.1), -np.inf)])
+def test_append_rejects_a_non_finite_point_or_value(x, y):
+    rng = np.random.default_rng(2)
+    ev = CandidateEvaluator(SquaredExponential(2.0, 0.6), rng.uniform(-1.0, 1.0, (30, 2)), 0.0,
+                            capacity=3)
+    ev.fit(rng.uniform(-1.0, 1.0, (3, 2)), rng.standard_normal(3))
+    mean, scov = ev.posterior_mean().copy(), ev._scov.copy()
+    with pytest.raises(ValueError, match="finite"):
+        ev.append(np.array(x), y)
+    # nothing changed, not even the capacity
+    assert (ev.n_samples, ev.capacity) == (3, 3)
+    np.testing.assert_array_equal(ev.posterior_mean(), mean)
+    np.testing.assert_array_equal(ev._scov, scov)
+    if not np.isfinite(y):
+        with pytest.raises(ValueError, match="finite"):
+            ev.fit(np.array([x, (0.5, 0.5)]), [0.1, y])
+
+
+def test_prior_blocks_are_packed_block_by_block():
+    # the quadratic kernel's prior blocks differ by candidate; built for
+    # every candidate at once, they would be a transient of (1 + n)^2
+    # doubles per candidate, which the memory preflight does not count
+    n = 3
+    cands = np.random.default_rng(7).uniform(-1.0, 1.0, (4 * engine._CHUNK, n))
+    tracemalloc.start()
+    try:
+        ev = CandidateEvaluator(Polynomial(1.3), cands, 0.0, capacity=2)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one block's dense blocks, and the kernel's temporaries for them
+    assert peak - kept <= 2 * engine._CHUNK * (1 + n) ** 2 * 8
+    k0 = Polynomial(1.3).joint_blocks_batch(cands)
+    np.testing.assert_array_equal(ev._k0p, [k0[:, i, j] for i, j in packed_pairs(n)])
 
 
 def test_evaluator_refuses_a_capacity_beyond_physical_memory():

@@ -255,13 +255,14 @@ def test_stationary_prior_block_is_computed_from_one_candidate():
 
 @pytest.mark.parametrize("counts", [(250, 250), (40, 40, 40), (16, 16, 16, 16)],
                          ids=["n2", "n3", "n4"])
+@mock.patch.object(engine, "_SWEEP", 20_000)
 def test_pooled_grid_gemm_matches_the_one_thread_loop(counts):
     # each grid spans several sweep blocks, so the GEMM's output rows run on
     # the pool; a capacity of 2 doubles twice on the way to k = 5
     n = len(counts)
     axes = [np.linspace(-2.0, 2.0, c) for c in counts]
     cands = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, n)
-    assert len(cands) > 3 * engine._CHUNK
+    assert len(cands) > 3 * engine._SWEEP
     rng = np.random.default_rng(n)
     X, f = rng.uniform(-2.0, 2.0, (5, n)), rng.standard_normal(5)
     ev = CandidateEvaluator(SquaredExponential(1.5, 0.7), cands, 0.0, capacity=2, axes=axes)

@@ -83,15 +83,18 @@ def test_parse_config_candidate_mode_exclusive(tmp_path):
     ("checkpoints", "checkpoints = 0,4", "checkpoints"),
     ("checkpoints", "checkpoints = 4,-8", "checkpoints"),
     ("grid_count", "grid_step = 0", "grid_step"),
-    ("grid_count", "grid_count = 0", "grid_counts"),
+    ("grid_count", "grid_count = 0", "grid_count"),
+    ("grid_count", "grid_count = 5,5", "grid_count"),
     ("grid_count", "random_candidates = 0", "random_candidates"),
 ], ids=["radius0", "radius_negative", "checkpoint0", "checkpoint_negative",
-        "grid_step0", "grid_count0", "random_candidates0"])
+        "grid_step0", "grid_count0", "grid_count_per_bound", "random_candidates0"])
 def test_parse_config_rejects_bad_sizes(tmp_path, drop, line, key):
     text = "\n".join(l for l in BASE_CONFIG.splitlines() if not l.startswith(drop))
     with pytest.raises(ConfigError) as err:
         harness.parse_config(write_config(tmp_path, f"{text}\n{line}\n"))
     assert key in str(err.value)
+    # the optimizer's field name is no config key
+    assert "grid_counts" not in str(err.value)
 
 
 MALFORMED = [  # (line to drop, malformed line, key the error names)
