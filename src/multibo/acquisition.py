@@ -32,10 +32,9 @@ depend on the degenerate-case policy below. Rounding is monotone, so
 factor * band <= max(factor, 0) * bound holds for the computed values too.
 
 ``improvement_bound`` bounds the computed max(factor, 0) in the same spirit,
-so that a sweep can skip the gradient solve. The computed PI is at most 1
-(0.5 erfc never exceeds 1), as is the factor 1 of ``derivative_only``. For
-joint EI, let g = min_d S_yy,dd - sum_{d<e} |S_yy,de|, which is no larger
-than any row's Gershgorin margin. Where g > 0 and g >= max_d S_yy,dd / 2:
+so that a sweep can skip the gradient solve. For joint EI, let
+g = min_d S_yy,dd - sum_{d<e} |S_yy,de|, which is no larger than any row's
+Gershgorin margin. Where g > 0 and g >= max_d S_yy,dd / 2:
 
 * Varah's bound, ||S_yy^-1||_inf <= 1 / g, gives |t|_inf <= max_d |S_xy,d| / g.
   It holds for both branches of the degenerate-case policy below: the
@@ -52,12 +51,15 @@ than any row's Gershgorin margin. Where g > 0 and g >= max_d S_yy,dd / 2:
   phi are at most 1 and phi(0), so by monotone rounding the computed EI
   obeys the same bound; ``_BOUND_REL`` and ``_BOUND_ABS`` go on top.
 
-Elsewhere (and for vanilla EI) the bound is the exact max(factor, 0),
-solved on those candidates alone. Wherever any of a candidate's mean or
-packed entries is non-finite, the bound is NaN, so a sweep scores that
-candidate exactly. The closed bound never reads the degenerate-case
-policy's output: it holds for any policy that only shrinks t on collapsed
-blocks.
+Elsewhere the bound is the exact max(factor, 0), solved on those
+candidates alone, and so it is for the other families: the factor of
+``derivative_only`` is 1, and PI keeps its exact factor, because the bound
+1 on it leaves almost every candidate of a flat region able to win (on a
+40,000-point 2-D grid with joint PI, 39,500 candidates per step). Wherever
+any of a candidate's mean or packed entries is non-finite, the bound is
+NaN, so a sweep scores that candidate exactly. The closed bound never
+reads the degenerate-case policy's output: it holds for any policy that
+only shrinks t on collapsed blocks.
 
 Every formula has one implementation, vectorised over N candidates. A batch
 is entry-major: joint means ``mean`` (1 + n, N), the value in row 0, and
@@ -378,27 +380,34 @@ def improvement_factor(cfg: AcquisitionConfig, mean, packed) -> np.ndarray:
     return expected_improvement(value_mean, np.sqrt(value_var), cfg.threshold)
 
 
-def improvement_bound(cfg: AcquisitionConfig, mean, packed) -> np.ndarray:
+def improvement_bound(cfg: AcquisitionConfig, mean, packed, exact=None) -> np.ndarray:
     """An upper bound on the computed max(``improvement_factor``, 0) at N
     candidates that skips the gradient solve wherever it can, and NaN
     wherever any of a candidate's mean or packed entries is non-finite.
 
-    PI and the factor of ``derivative_only`` are at most 1. For joint EI, a
-    gradient block diagonally dominant by a margin of at least half its
-    largest variance gets a closed bound (see the module docstring); every
-    other candidate gets the exact max(factor, 0), solved on those alone.
+    The factor of ``derivative_only`` is 1. For joint EI, a gradient block
+    diagonally dominant by a margin of at least half its largest variance
+    gets a closed bound (see the module docstring). Every other candidate
+    gets the exact max(factor, 0), solved on those alone. ``exact``, a
+    boolean array of N if given, is set True where the bound is that
+    exact value.
     """
     N = mean.shape[1]
-    if cfg.family in ("joint_pi", "vanilla_pi", "derivative_only"):
+    closed = np.zeros(N, dtype=bool)
+    if not cfg.uses_value:
         bound = np.ones(N)
+    elif cfg.family != "joint_ei":
+        bound = np.maximum(improvement_factor(cfg, mean, packed), 0.0)
     else:
         bound = np.empty(N)
-        closed = _ei_margin_bound(cfg.threshold, mean, packed, bound) if cfg.uses_band \
-            else np.zeros(N, dtype=bool)
+        closed = _ei_margin_bound(cfg.threshold, mean, packed, bound)
         rest = np.flatnonzero(~closed)
         if rest.size:
             bound[rest] = np.maximum(improvement_factor(cfg, mean[:, rest], packed[:, rest]), 0.0)
-    bound[~(np.isfinite(mean).all(axis=0) & np.isfinite(packed).all(axis=0))] = np.nan
+    finite = np.isfinite(mean).all(axis=0) & np.isfinite(packed).all(axis=0)
+    bound[~finite] = np.nan
+    if exact is not None:
+        np.logical_and(finite, ~closed, out=exact)
     return bound
 
 

@@ -82,12 +82,15 @@ column, and the whole acquisition) runs block by block instead: the
 candidates are split into equal blocks of at most ``_SWEEP`` (65,536)
 candidates, and the blocks are spread over a module-level thread pool with
 one worker per CPU the process may run on. numpy releases the GIL inside
-its loops and takes it back between calls, so two workers hand the GIL
+its loops and takes it back between calls, so the workers hand the GIL
 over at every call, and the block size is chosen so that a call outlasts
-a hand-off: on 2 vCPUs, ``np.multiply`` over 20,000 doubles ran in two
-threads at 0.74x the speed of one thread, with ~40,000 voluntary context
-switches, and over 60,000 doubles at 1.81x, with ~1,000. A row of a
-block's temporaries is then 512 KB, so a few still fit in a core's L2.
+a hand-off. On a 2-vCPU Xeon VM, a loop of ``np.multiply`` over 2,000
+doubles ran at 0.45x the speed of one thread in two threads, with ~16,000
+voluntary context switches, and over 65,536 doubles at 1.9x, with ~60;
+the bound pass below, at the 3-D grid run's step-40 state, gained 1.27x
+from the second worker in 20,000-row blocks and 1.69x in 65,536-row ones.
+A row of a block's temporaries is then 512 KB, so a few still fit in a
+core's L2.
 Over the factors, the append GEMM's 1 + n output rows are independent
 (M x k) @ (k x m_n) products, and they are spread over the same pool.
 Where the candidates fit in one block, everything runs in the calling
@@ -96,15 +99,17 @@ thread.
 The select step needs only the feasible argmax and the value there, and
 the gradient band is narrow, so over more than one block, with a
 feasibility mask and a family with a band, ``acquisition_values`` scores
-exactly only the candidates that can win, in two passes over the pool. The
-first, the bound pass, computes per block the bound
+exactly only the candidates that can win, in two passes over the pool.
+The first, the bound pass, computes per block the bound
 ``acquisition.improvement_bound`` * ``acquisition.band_bound``, which
-needs no erfc and skips the gradient solve wherever it can (every
-candidate for joint PI and derivative-only, the diagonally dominant
-gradient blocks for joint EI), -inf where infeasible and +inf where NaN (a
-NaN input, hence a NaN value, stays a candidate), keeps it in the output
-buffer and returns the block's top bound. The largest exact value at those
-tops, taken in one call, is at most the feasible maximum. The second pass
+skips the gradient solve wherever it can (for joint EI, on diagonally
+dominant gradient blocks; derivative-only needs none), -inf where
+infeasible and +inf where NaN (a NaN input, hence a NaN value, stays a
+candidate). It keeps the bound in the output buffer and returns the
+block's top bound, and its top among the candidates whose improvement
+factor the bound gives exactly: a bound that tight often marks a higher
+value than the loose top does. The largest exact value at those tops,
+taken in one call, is at most the feasible maximum. The second pass
 writes the exact value wherever the bound reaches it and -inf everywhere
 else: no candidate it prunes can reach the maximum or tie it. The argmax
 (ties to the lowest index) and the value there are therefore the full
@@ -423,17 +428,28 @@ class CandidateEvaluator:
 
     # -- candidate sweep -----------------------------------------------------
 
+    def _block_count(self):
+        """How many equal blocks the sweep splits the candidates into: blocks
+        of at most ``_SWEEP`` rows, and over more than ``_CHUNK`` candidates
+        at least one per worker, so that a set between the two still runs
+        on the pool and takes the pruned acquisition."""
+        n_cand = self.cands.shape[0]
+        count = -(-n_cand // _SWEEP)
+        if n_cand > _CHUNK:
+            count = max(count, min(len(os.sched_getaffinity(0)), -(-n_cand // _CHUNK)))
+        return count
+
     def _sweep(self, fn):
         """``fn(rows)`` for each block of candidate rows; results in block order."""
         n_cand = self.cands.shape[0]
-        count = -(-n_cand // _SWEEP)
+        count = self._block_count()
         return self._spread(fn, [slice(b * n_cand // count, (b + 1) * n_cand // count)
                                  for b in range(count)])
 
     def _spread(self, fn, items):
         """``fn(item)`` for each of ``items``, results in order: on the pool
         when the candidates span more than one block, else in this thread."""
-        if self.cands.shape[0] <= _SWEEP:
+        if self._block_count() == 1:
             return [fn(item) for item in items]
         return list(_executor().map(fn, items))
 
@@ -589,7 +605,7 @@ class CandidateEvaluator:
         argmax and the value there are those of the full sweep."""
         n_cand = self.cands.shape[0]
         out = np.empty(n_cand)
-        if mask is None or not cfg.uses_band or n_cand <= _SWEEP:
+        if mask is None or not cfg.uses_band or self._block_count() == 1:
             def acquire(rows):
                 out[rows] = acquisition.values(cfg, self._mu[:, rows], self._scov[:, rows])
 
@@ -601,13 +617,17 @@ class CandidateEvaluator:
         def bound(rows):
             # an upper bound on each candidate's value; NaN may hide a NaN value
             mu, scov, ub = self._mu[:, rows], self._scov[:, rows], out[rows]
-            np.multiply(acquisition.improvement_bound(cfg, mu, scov),
+            exact = np.empty(ub.shape, dtype=bool)
+            np.multiply(acquisition.improvement_bound(cfg, mu, scov, exact),
                         acquisition.band_bound(mu, scov, cfg.epsilon), out=ub)
             ub[np.isnan(ub)] = np.inf
             ub[~mask[rows]] = -np.inf
-            return rows.start + int(np.argmax(ub))
+            # the block's top bound, and its top where the improvement factor
+            # is exact: a bound that tight often leads to a higher threshold
+            return rows.start + np.array([np.argmax(ub), np.argmax(np.where(exact, ub, -np.inf))])
 
-        tops = np.array([i for i in self._sweep(bound) if out[i] > -np.inf], dtype=int)
+        tops = np.unique(np.concatenate(self._sweep(bound)))
+        tops = tops[out[tops] > -np.inf]
         top_values = acquisition.values(cfg, self._mu[:, tops], self._scov[:, tops])
         # a NaN value has an infinite bound and survives any threshold
         threshold = max(top_values[~np.isnan(top_values)], default=np.inf)

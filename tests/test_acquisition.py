@@ -454,17 +454,20 @@ def test_band_bound_holds_on_special_blocks():
 
 def assert_improvement_bound_holds(mean, packed, threshold):
     """For each family with a band: ``improvement_bound`` is NaN exactly where
-    an input is non-finite, and elsewhere at least max(improvement_factor, 0)
-    wherever that is finite."""
+    an input is non-finite, elsewhere at least max(improvement_factor, 0)
+    wherever that is finite, and equal to it where it says it is exact."""
     bad = ~(np.isfinite(mean).all(axis=0) & np.isfinite(packed).all(axis=0))
     for family in ("joint_pi", "joint_ei", "derivative_only"):
         cfg = AcquisitionConfig(family, threshold, 0.3)
+        exact = np.empty(mean.shape[1], dtype=bool)
         with np.errstate(all="ignore"):
             factor = np.maximum(improvement_factor(cfg, mean, packed), 0.0)
-            bound = improvement_bound(cfg, mean, packed)
+            bound = improvement_bound(cfg, mean, packed, exact)
         np.testing.assert_array_equal(np.isnan(bound), bad, err_msg=family)
         ok = bad | ~np.isfinite(factor) | (bound >= factor)
         assert ok.all(), (family, mean[:, ~ok], packed[:, ~ok], factor[~ok], bound[~ok])
+        assert not (exact & bad).any()
+        np.testing.assert_array_equal(bound[exact], factor[exact], err_msg=family)
 
 
 def _gradient_block(kind, n, rng):
