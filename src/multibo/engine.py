@@ -80,21 +80,27 @@ per-step pass (the dense cross rows of new samples, the gradient fixups,
 the covariance downdate and mean update with the new sample's joint
 column, and the whole acquisition) runs block by block instead: the
 candidates are split into equal blocks of at most ``_SWEEP`` (65,536)
-candidates, and the blocks are spread over a module-level thread pool with
-one worker per CPU the process may run on. numpy releases the GIL inside
-its loops and takes it back between calls, so the workers hand the GIL
-over at every call, and the block size is chosen so that a call outlasts
-a hand-off. On a 2-vCPU Xeon VM, a loop of ``np.multiply`` over 2,000
-doubles ran at 0.45x the speed of one thread in two threads, with ~16,000
-voluntary context switches, and over 65,536 doubles at 1.9x, with ~60;
-the bound pass below, at the 3-D grid run's step-40 state, gained 1.27x
-from the second worker in 20,000-row blocks and 1.69x in 65,536-row ones.
-A row of a block's temporaries is then 512 KB, so a few still fit in a
-core's L2.
-Over the factors, the append GEMM's 1 + n output rows are independent
+candidates, and into at least one block per worker when there are more
+than ``_CHUNK`` (20,000), and the blocks are spread over a module-level
+thread pool with one worker per CPU the process may run on. Over the
+factors, the append GEMM's 1 + n output rows are independent
 (M x k) @ (k x m_n) products, and they are spread over the same pool.
 Where the candidates fit in one block, everything runs in the calling
 thread.
+
+numpy releases the GIL inside its loops and takes it back between calls,
+so the workers hand the GIL over at every call, and ``_SWEEP`` is chosen
+so that a call outlasts a hand-off. On a 2-vCPU Xeon VM, a loop of
+``np.multiply`` over 2,000 doubles ran at 0.45x the speed of one thread
+in two threads, with ~16,000 voluntary context switches, and over 65,536
+doubles at 1.9x, with ~60; the bound pass below, at the 3-D grid run's
+step-40 state, gained 1.30x from the second worker in 20,000-row blocks
+and 1.80x in 65,536-row ones. A row of a block's temporaries is then
+512 KB, so a few still fit in a core's L2. The floor of one block per
+worker keeps a mid-sized set on the pool: 40,000 candidates would
+otherwise form one block, and the joint-PI run on such a 2-D grid took
+4.4-4.6 ms per acquisition in one thread against 2.7-2.8 ms in two
+pooled, pruned blocks.
 
 The select step needs only the feasible argmax and the value there, and
 the gradient band is narrow, so over more than one block, with a
@@ -182,7 +188,7 @@ from .errors import GridTooLarge
 from .gp import GPState
 from .numerics import CholeskyFactor
 
-_CHUNK = 20_000  # candidate rows per block of a full rebuild and of the feasibility mask
+_CHUNK = 20_000  # candidate rows per block of a rebuild, the prior blocks and the feasibility mask
 _SWEEP = 65_536  # candidate rows per block of the per-step sweeps
 
 _pool = None
