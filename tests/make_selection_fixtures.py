@@ -11,7 +11,9 @@ they run with sweep blocks of ``LARGE_SWEEP`` rows, so their sweeps span
 two blocks and take the engine's pruned acquisition path. No bundled config is 4-D, so one ask/tell loop on 4-D Griewank
 (``ASKTELL_4D``) is frozen beside them: each round's chosen index, point
 and value, again without the acquisition. ``tests/test_selections.py``
-checks that the runs still select the same points.
+checks that the runs still select the same points. The full 300-step run
+of ``griewank3d_jointei.cfg`` is frozen as well (``GRID3D_FULL``); the
+acceptance test of criterion 3 compares its own run against it.
 
 Run from the repository root:  python tests/make_selection_fixtures.py
 """
@@ -48,6 +50,9 @@ LARGE_SWEEP = 20_000
 
 # output directory name of the 3-D Griewank grid config cut to budget 40
 GRID3D = "griewank3d_jointei_40"
+# fixture name of the full 300-step run of that config; it is not in
+# ``run_all``: ``test_criterion_3_griewank3d_scalability`` checks its own run
+GRID3D_FULL = "griewank3d_jointei_300"
 
 
 def cut_config(config, drop, lines, path) -> Path:
@@ -103,6 +108,14 @@ def asktell_lines() -> list[str]:
     return lines
 
 
+def full_grid3d_lines(out_root) -> list[str]:
+    """The selection lines of ``configs/griewank3d_jointei.cfg``'s full run."""
+    out = Path(out_root) / GRID3D_FULL
+    assert harness.main(["run", str(REPO / "configs" / "griewank3d_jointei.cfg"),
+                         "--out", str(out)]) == 0
+    return selection_lines(out / "trace.csv")
+
+
 def selection_lines(trace_path) -> list[str]:
     """The rows of a ``trace.csv``, header included, without its comment
     lines and its ``acquisition`` column."""
@@ -139,6 +152,7 @@ def main():
     FIXTURES.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         selections = run_all(tmp)
+        selections[GRID3D_FULL] = full_grid3d_lines(tmp)
     for name, lines in selections.items():
         (FIXTURES / f"{name}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {len(selections)} fixtures to {FIXTURES}")

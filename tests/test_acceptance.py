@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import oracles
+from make_selection_fixtures import FIXTURES, GRID3D_FULL, selection_lines
 from reports import read_report
 from multibo import gp, harness, metrics, numerics, traceio
 from multibo.acquisition import AcquisitionConfig, condition_value_on_gradient, score
@@ -69,10 +70,14 @@ def test_criterion_2_shubert_three_optima():
           f"(steps {sorted(hit.values())}) in {elapsed:.1f} s")
 
 
-def test_criterion_3_griewank3d_scalability():
+def test_criterion_3_griewank3d_scalability(tmp_path):
     t0 = time.time()
     cfg, bench, trace = execute("griewank3d_jointei.cfg")
     elapsed = time.time() - t0
+    # every point of the run is the frozen one
+    traceio.write_trace(tmp_path / "trace.csv", trace, {})
+    frozen = (FIXTURES / f"{GRID3D_FULL}.csv").read_text(encoding="utf-8").splitlines()
+    assert selection_lines(tmp_path / "trace.csv") == frozen
     # flagged values >= 1.98 with +-0.03 tolerance
     hit = located_maxima(trace, bench.ground_truth, radius=0.25, min_value=1.95)
     assert len(hit) >= 3, f"located {len(hit)} of 4 maxima, need 3"
