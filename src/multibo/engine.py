@@ -23,8 +23,9 @@ cost is O(N k) instead of O(N k^2).
 Every per-candidate array is entry-major, one row per joint entry and the
 candidates along the last axis: the packed covariances (P, N) in
 ``acquisition.packed_pairs`` order, the mean (1 + n, N) and the append
-GEMM's output (1 + n, N). The optimum flag reads its gradient mean from
-that mean (``gradient_mean_at``); alpha = L^-T z is formed only in ``state``.
+GEMM's output (1 + n, N, or per sweep block). The optimum flag reads its
+gradient mean from that mean (``gradient_mean_at``); alpha = L^-T z is
+formed only in ``state``.
 
 The cross terms take one of two forms, chosen once from the input:
 
@@ -35,15 +36,18 @@ The cross terms take one of two forms, chosen once from the input:
   with axes of lengths m_1, ..., m_n and the kernel is ``separable``: per
   sample, the outer product of its factors over the first n - 1 axes
   (M = N / m_n entries) and its factor over the last axis (m_n entries).
-  Each GEMM output row is then one (M x k) @ (k x m_n) product, and a kernel
+  Each GEMM output row is then one (M x k) @ (k x m_n) product, which a
+  sweep block of whole grid rows computes for its own rows, and a kernel
   value at a candidate is the product of two factor entries. On the
   1,030,301-point 3-D grid that is k x 10,302 doubles instead of
   k x 1,030,301. The factors are used only where they are the smaller form,
   so a 1-D grid keeps the dense cache.
 
 Both forms give the same posterior up to rounding: the kernel values and
-the order of the GEMM's sums differ in the last bits. The GEMM output is one
-buffer per evaluator, reused by every append.
+the order of the GEMM's sums differ in the last bits. The dense form runs
+its GEMM full width into one buffer it keeps, reused by every append; the
+factored form keeps none: each sweep block writes its own rows of the GEMM
+output into a block-sized buffer and finishes them in the same call.
 
 The engine never branches on kernel type. The kernel supplies every
 kernel-specific batched piece (see ``multibo.kernels``): how many cache rows
@@ -83,10 +87,10 @@ candidates are split into equal blocks of at most ``_SWEEP`` (65,536)
 candidates, and into at least one block per worker when there are more
 than ``_CHUNK`` (20,000), and the blocks are spread over a module-level
 thread pool with one worker per CPU the process may run on. Over the
-factors, the append GEMM's 1 + n output rows are independent
-(M x k) @ (k x m_n) products, and they are spread over the same pool.
-Where the candidates fit in one block, everything runs in the calling
-thread.
+factors, a block is a whole number of grid rows, at least two wherever
+the grid has two, and its worker runs the append GEMM's products for its
+own rows before the downdate. Where the candidates fit in one block,
+everything runs in the calling thread.
 
 numpy releases the GIL inside its loops and takes it back between calls,
 so the workers hand the GIL over at every call, and ``_SWEEP`` is chosen
@@ -151,17 +155,22 @@ prior blocks at construction, the new sample's k(x, x) in ``append``).
 Workers run numpy on slices of the cross terms and the GEMM output
 only: of the kernel they call ``fill_cross``, ``finish_dot`` and
 ``joint_column``, never ``eval_matrix``, ``grad_tensor`` or
-``joint_blocks_batch``; over the factors they form kernel values for their
-block as products of factor entries. They call ``acquisition.values``,
-``improvement_bound`` and ``band_bound``, which use nothing in ``gp`` and,
-of ``numerics``, only the private Gaussian tail and density; for n <= 4
+``joint_blocks_batch``; over the factors they run their block's GEMM
+products and form kernel values as products of factor entries. They call
+``acquisition.values``, ``improvement_bound`` and ``band_bound``, which
+use nothing in ``gp`` and, of ``numerics``, only the private Gaussian tail
+and density; for n <= 4
 they are elementwise numpy too, and for n >= 5 the gradient solve calls
 numpy's batched LAPACK in the workers. So anything that wraps the kernel's
 matrix methods or the public ``gp`` and ``numerics`` functions sees calls
 from one thread. No arithmetic of the per-step sweep depends on the block
 bounds, so what ``append`` and ``acquisition_values`` compute does not
 depend on the block size or the worker count, but for which candidates
-the pruned acquisition sets to -inf. A full rebuild does depend on them:
+the pruned acquisition sets to -inf. For the factored form's GEMM this
+rests on the blocks being whole grid rows, two or more wherever the grid
+has two: products over blocks of 2 to 1,300 grid rows gave the full
+GEMM's bits on the engine's layout, but a one-row product takes numpy's
+gemv path, which rounds differently. A full rebuild does depend on them:
 ``fit`` rebuilds the packed covariances and the mean in blocks of their
 own, ``_CHUNK`` (20,000) rows, and the rounding of each block's triangular
 solve depends on its row count, so the covariances and the mean after a
@@ -244,6 +253,23 @@ def _pin_blas(libraries):
 _pin_blas(_openblas_libraries())
 
 
+def _blocks(n_cand, row):
+    """The sweep's blocks of ``n_cand`` candidate rows, as slices: blocks of
+    at most ``_SWEEP`` rows, and over more than ``_CHUNK`` candidates at
+    least one per worker, so that a set between the two still runs on the
+    pool and takes the pruned acquisition. Each block holds a whole number
+    of ``row``-candidate rows, and for ``row`` > 1 at least two of them
+    wherever there are two: a one-row GEMM takes BLAS's gemv path, which
+    rounds differently. That floor may leave fewer, larger blocks."""
+    count = -(-n_cand // _SWEEP)
+    if n_cand > _CHUNK:
+        count = max(count, min(len(os.sched_getaffinity(0)), -(-n_cand // _CHUNK)))
+    rows = n_cand // row
+    if row > 1:
+        count = max(1, min(count, rows // 2))
+    return [slice(b * rows // count * row, (b + 1) * rows // count * row) for b in range(count)]
+
+
 def _trtrs(a, b, lower, trans):
     """LAPACK's triangular solve with the arguments ``scipy.linalg.solve_triangular``
     would pass it, without that wrapper's checks and their ~25 us per call."""
@@ -256,10 +282,15 @@ def _trtrs(a, b, lower, trans):
 class _DenseCross:
     """Cross terms as a dense cache ``cache`` (capacity, cross_rows, N):
     [j] holds sample j's cache rows against every candidate, row 0 the
-    kernel value, so the GEMM reads each row contiguously."""
+    kernel value, so the GEMM reads each row contiguously. The GEMM runs
+    full width, before the sweep, into ``raw`` (1 + n, N), kept for every
+    append: GEMMs over blocks of columns would round differently."""
+
+    row = 1  # the sweep's blocks may start at any candidate
 
     def __init__(self, kernel, cands, cache, axes):
         self.kernel, self.cands, self.cache = kernel, cands, cache
+        self.raw = np.empty((1 + cands.shape[1], cands.shape[0]))
 
     @staticmethod
     def shape(kernel, capacity, n_cand, axes):
@@ -272,8 +303,11 @@ class _DenseCross:
 
         sweep(fill)
 
-    def dot(self, X, w, raw, spread):
-        return self.kernel.joint_dot(self.cache[:X.shape[0]], X, w, out=raw)
+    def dot(self, X, w):
+        """The raw GEMM rows of A(x) @ w over the samples ``X``, as a
+        function of a block of candidate rows."""
+        raw = self.kernel.joint_dot(self.cache[:X.shape[0]], X, w, out=self.raw)
+        return lambda rows: raw[:, rows]
 
     def values(self, samples, rows):
         return self.cache[samples, 0, rows]
@@ -289,12 +323,13 @@ class _GridCross:
     its factors over the first n - 1 axes (M entries), then its tail, its
     factor over the last axis (m entries): its kernel value at the grid
     point with index i' over the first n - 1 axes and i over the last is
-    head[r, i'] tail[r, i]. One GEMM writes each row of the GEMM output as
-    an (M, m) block."""
+    head[r, i'] tail[r, i]. Over a block of whole grid rows, each raw GEMM
+    row is one (M_b, k) @ (k, m) product, written as an (M_b, m) block."""
 
     def __init__(self, kernel, cands, cache, axes):
         self.kernel, self.cands, self.axes = kernel, cands, axes
         m = len(axes[-1])
+        self.row = m  # the sweep's blocks are whole grid rows
         self.head, self.tail = cache[:, :-m], cache[:, -m:]
 
     @staticmethod
@@ -311,16 +346,23 @@ class _GridCross:
             self.head[j] = head
             self.tail[j] = factors[-1]
 
-    def dot(self, X, w, raw, spread):
-        k = X.shape[0]
-        head, tail = self.head[:k].T, self.tail[:k]
+    def dot(self, X, w):
+        """The raw GEMM rows of A(x) @ w over the samples ``X``, as a
+        function of a block of whole grid rows: the weighted tails are
+        formed here, once, and each block runs its own products."""
+        k, m = X.shape[0], self.row
+        head = self.head[:k].T
         W = self.kernel.dot_weights(X, w)
+        tails = [W[:, c, None] * self.tail[:k] for c in range(W.shape[1])]
 
-        def product(c):
-            np.matmul(head, W[:, c, None] * tail, out=raw[c].reshape(head.shape[0], -1))
+        def products(rows):
+            raw = np.empty((len(tails), rows.stop - rows.start))
+            for c, tail in enumerate(tails):
+                np.matmul(head[rows.start // m:rows.stop // m], tail,
+                          out=raw[c].reshape(-1, m))
+            return raw
 
-        spread(product, range(W.shape[1]))
-        return raw
+        return products
 
     def values(self, samples, rows):
         # outer products over the grid rows the block touches, cut to the block
@@ -339,7 +381,7 @@ class CandidateEvaluator:
     ``axes``, when given, are the axes of the tensor grid the candidates
     enumerate in C order; with a separable kernel the cross terms are then
     kept as per-axis factors instead of a dense cache. The per-candidate
-    arrays ``_scov``, ``_mu`` and ``_raw`` are entry-major.
+    arrays ``_scov`` and ``_mu`` are entry-major.
     """
 
     def __init__(self, kernel, candidates, prior_mean, capacity,
@@ -373,8 +415,6 @@ class CandidateEvaluator:
         # the cross terms' arrays are the evaluator's own, like every array it keeps
         self._cross = np.empty(shape)
         self._terms = terms(kernel, self.cands, self._cross, axes)
-        # output of the GEMM A(x) c, reused by every append
-        self._raw = np.empty((1 + n, n_cand))
         self._scov = np.empty((len(self._pairs), n_cand))
         # a stationary kernel's blocks are candidate-independent; keep one
         # column. Otherwise pack them block by block: the dense blocks of
@@ -422,42 +462,29 @@ class CandidateEvaluator:
         terms (``cross_floats`` doubles), the Cholesky factor, the samples,
         their values and the mean's weights z, the packed prior blocks (one
         column for a stationary kernel), the packed covariances, the
-        posterior mean and the sweep's full-width buffers (the GEMM output
-        and the acquisition values)."""
+        posterior mean and the sweep's full-width buffers: the acquisition
+        values and, for the dense form, the GEMM output."""
         n_cand, n = self.cands.shape
         width = 1 + n
         packed = width * (width + 1) // 2
         k0_cols = 1 if self.kernel.stationary else n_cand
-        rows = packed + width + (width + 1)
+        rows = packed + width + 1 + (width if self._terms_type is _DenseCross else 0)
         return 8 * (cross_floats + packed * k0_cols + rows * n_cand
                     + capacity * (capacity + n + 2))
 
     # -- candidate sweep -----------------------------------------------------
 
-    def _block_count(self):
-        """How many equal blocks the sweep splits the candidates into: blocks
-        of at most ``_SWEEP`` rows, and over more than ``_CHUNK`` candidates
-        at least one per worker, so that a set between the two still runs
-        on the pool and takes the pruned acquisition."""
-        n_cand = self.cands.shape[0]
-        count = -(-n_cand // _SWEEP)
-        if n_cand > _CHUNK:
-            count = max(count, min(len(os.sched_getaffinity(0)), -(-n_cand // _CHUNK)))
-        return count
+    def _blocks(self):
+        """The sweep's blocks of candidate rows (see ``_blocks``)."""
+        return _blocks(self.cands.shape[0], self._terms.row)
 
     def _sweep(self, fn):
-        """``fn(rows)`` for each block of candidate rows; results in block order."""
-        n_cand = self.cands.shape[0]
-        count = self._block_count()
-        return self._spread(fn, [slice(b * n_cand // count, (b + 1) * n_cand // count)
-                                 for b in range(count)])
-
-    def _spread(self, fn, items):
-        """``fn(item)`` for each of ``items``, results in order: on the pool
-        when the candidates span more than one block, else in this thread."""
-        if self._block_count() == 1:
-            return [fn(item) for item in items]
-        return list(_executor().map(fn, items))
+        """``fn(rows)`` for each block of candidate rows, results in block
+        order: on the pool over more than one block, else in this thread."""
+        blocks = self._blocks()
+        if len(blocks) == 1:
+            return [fn(blocks[0])]
+        return list(_executor().map(fn, blocks))
 
     # -- fitting -------------------------------------------------------------
 
@@ -545,14 +572,15 @@ class CandidateEvaluator:
         self._L[k, k] = lam
         self._k = k + 1
         self._refresh_z()
-        raw = self._terms.dot(self._X[:k], c, self._raw, self._spread)
+        raw = self._terms.dot(self._X[:k], c)
         self._sweep(lambda rows: self._downdate(rows, raw, x_new, lam, self._z[k]))
 
     def _downdate(self, rows, raw, x_new, lam, z_new):
-        """Finish the GEMM A(x) c for candidate ``rows`` into v(x) of the
-        newest sample ``x_new``: add v z_new to the posterior mean and
-        downdate the packed covariances by v v^T."""
-        u = self.kernel.finish_dot(raw[:, rows], self.cands[rows])
+        """Finish the GEMM A(x) c for candidate ``rows``, whose raw rows
+        ``raw(rows)`` gives, into v(x) of the newest sample ``x_new``: add
+        v z_new to the posterior mean and downdate the packed covariances
+        by v v^T."""
+        u = self.kernel.finish_dot(raw(rows), self.cands[rows])
         v = self._terms.column(self._k - 1, x_new, rows)
         mu, scov = self._mu[:, rows], self._scov[:, rows]
         for i in range(1 + self.n):
@@ -611,7 +639,7 @@ class CandidateEvaluator:
         argmax and the value there are those of the full sweep."""
         n_cand = self.cands.shape[0]
         out = np.empty(n_cand)
-        if mask is None or not cfg.uses_band or self._block_count() == 1:
+        if mask is None or not cfg.uses_band or len(self._blocks()) == 1:
             def acquire(rows):
                 out[rows] = acquisition.values(cfg, self._mu[:, rows], self._scov[:, rows])
 

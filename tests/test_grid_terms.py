@@ -4,8 +4,9 @@ On a tensor grid of candidates a separable kernel's cross terms are kept as
 per-axis factors instead of a dense cache, and a new sample clears the
 feasibility mask only inside the index box within ``min_distance`` of it.
 These tests pin both against the dense paths they replace, the memory the
-grid representation saves, and the grid GEMM's output rows computed on the
-sweep pool against the same products one after another.
+grid representation saves, the grid GEMM's rows computed per sweep block
+on the pool against the full products one after another, and the sweep's
+blocks of whole grid rows.
 """
 
 import tracemalloc
@@ -158,7 +159,11 @@ def test_box_updated_mask_equals_the_full_rule(cfg, seed, n_points, spacing, mul
 
 
 def _evaluator_bytes(ev):
-    return sum(v.nbytes for v in vars(ev).values() if isinstance(v, np.ndarray))
+    arrays = [v for v in vars(ev).values() if isinstance(v, np.ndarray)]
+    # the dense form's GEMM output is the one array its cross terms own
+    if isinstance(ev._terms, engine._DenseCross):
+        arrays.append(ev._terms.raw)
+    return sum(a.nbytes for a in arrays)
 
 
 def test_grid_run_memory_does_not_grow_with_capacity_times_candidates():
@@ -225,7 +230,12 @@ def test_bytes_needed_equals_the_arrays_at_capacity(polynomial, grid):
     assert isinstance(ev._terms, engine._GridCross) == (grid and not polynomial)
     X = cands[np.random.default_rng(3).choice(len(cands), capacity, replace=False)]
     ev.fit(X, np.sin(X.sum(axis=1)))
-    arrays = (ev._cross, ev._L, ev._X, ev._f, ev._z, ev._raw, ev._scov, ev._k0p, ev._mu)
+    arrays = [ev._cross, ev._L, ev._X, ev._f, ev._z, ev._scov, ev._k0p, ev._mu]
+    # the dense form keeps its GEMM output; the grid form computes it per block
+    if grid and not polynomial:
+        assert not hasattr(ev._terms, "raw")
+    else:
+        arrays.append(ev._terms.raw)
     # plus the acquisition values, the one full-width array it does not keep
     held = sum(a.nbytes for a in arrays) + 8 * len(cands)
     assert ev._bytes_needed(capacity, ev._cross.size) == held
@@ -257,8 +267,8 @@ def test_stationary_prior_block_is_computed_from_one_candidate():
                          ids=["n2", "n3", "n4"])
 @mock.patch.object(engine, "_SWEEP", 20_000)
 def test_pooled_grid_gemm_matches_the_one_thread_loop(counts):
-    # each grid spans several sweep blocks, so the GEMM's output rows run on
-    # the pool; a capacity of 2 doubles twice on the way to k = 5
+    # each grid spans several sweep blocks, so the GEMM's rows run per block
+    # on the pool; a capacity of 2 doubles twice on the way to k = 5
     n = len(counts)
     axes = [np.linspace(-2.0, 2.0, c) for c in counts]
     cands = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, n)
@@ -273,12 +283,74 @@ def test_pooled_grid_gemm_matches_the_one_thread_loop(counts):
             ev.append(X[k - 1], f[k - 1])
         w = rng.standard_normal(k)
         with mock.patch.object(engine, "_executor", wraps=engine._executor) as pool:
-            got = ev._terms.dot(ev._X[:k], w, np.empty_like(ev._raw), ev._spread).copy()
+            got = np.concatenate(ev._sweep(ev._terms.dot(ev._X[:k], w)), axis=1)
         pool.assert_called()
         head, tail = ev._terms.head[:k].T, ev._terms.tail[:k]
         W = ev.kernel.dot_weights(ev._X[:k], w)
-        want = np.empty_like(got)
+        want = np.empty((1 + n, len(cands)))
         for c in range(W.shape[1]):
             np.matmul(head, W[:, c, None] * tail, out=want[c].reshape(head.shape[0], -1))
         np.testing.assert_array_equal(got, want, err_msg=f"k = {k}")
     assert ev.capacity == 8
+
+
+@pytest.mark.parametrize("rows, m", [(rows, m) for rows in (1, 2, 3, 5, 31, 640)
+                                     for m in (1, 7, 101)]
+                         + [(1, 50_000), (2, 50_000), (3, 50_000)])
+@pytest.mark.parametrize("sweep", [3, 4_096, engine._SWEEP])
+def test_sweep_blocks_are_whole_grid_rows(rows, m, sweep):
+    # M = rows grid rows of m candidates; m = 50,000 puts a grid row beyond
+    # the smaller sweep blocks
+    with mock.patch.object(engine, "_SWEEP", sweep):
+        blocks = engine._blocks(rows * m, m)
+        dense = engine._blocks(rows * m, 1)
+    assert blocks[0].start == 0 and blocks[-1].stop == rows * m
+    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+    sizes = [b.stop - b.start for b in blocks]
+    assert all(size % m == 0 for size in sizes)
+    assert min(sizes) >= m * min(rows, 2)
+    # grid rows only merge blocks the dense rule would form
+    assert len(blocks) <= len(dense)
+    if m == 1:
+        assert blocks == dense
+
+
+@pytest.mark.parametrize("counts", [(2, 9), (3, 9), (2, 3, 7)], ids=["M2", "M3", "M6"])
+@mock.patch.object(engine, "_SWEEP", 4)
+def test_grid_evaluator_sweeps_whole_grid_rows(counts):
+    # sweep blocks of 4 candidates would cut every grid row of 7 or 9
+    axes = [np.linspace(-1.0, 1.0, c) for c in counts]
+    cands = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, len(counts))
+    ev = CandidateEvaluator(SquaredExponential(1.0, 0.5), cands, 0.0, capacity=4, axes=axes)
+    assert isinstance(ev._terms, engine._GridCross)
+    assert ev._blocks() == engine._blocks(len(cands), counts[-1])
+    seen = []
+    ev._sweep(seen.append)
+    assert seen == ev._blocks()
+
+
+def test_grid_append_allocates_no_full_width_gemm_output():
+    # 40^3 = 64,000 candidates in sweep blocks of at most 4,096
+    n, axis = 3, np.linspace(-1.0, 1.0, 40)
+    axes = [axis] * n
+    cands = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, n)
+    full = 8 * (1 + n) * len(cands)
+    rng = np.random.default_rng(0)
+    X, f = rng.uniform(-1.0, 1.0, (3, n)), rng.standard_normal(3)
+    with mock.patch.object(engine, "_SWEEP", 4_096):
+        tracemalloc.start()
+        try:
+            ev = CandidateEvaluator(SquaredExponential(1.0, 0.5), cands, 0.0, capacity=3,
+                                    axes=axes)
+            ev.fit(X[:2], f[:2])
+            # the posterior's own arrays: everything else traced is a buffer
+            kept = sum(a.nbytes for a in (ev._cross, ev._L, ev._X, ev._f, ev._z,
+                                          ev._scov, ev._k0p, ev._mu))
+            tracemalloc.reset_peak()
+            ev.append(X[2], f[2])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert isinstance(ev._terms, engine._GridCross)
+    # beyond the posterior, the evaluator and its append hold per-block buffers only
+    assert peak - kept < full / 2
