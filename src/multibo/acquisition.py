@@ -217,6 +217,9 @@ def band_probability(mean, packed, epsilon):
 # products of both sides.
 _BOUND_REL = 1e-12
 _BOUND_ABS = 1e-14
+# candidates per sub-block of ``gather``: its copies stay small, and each
+# numpy call over them still outlasts a GIL hand-off in the engine's workers
+GATHER = 16_384
 
 
 def band_bound(mean, packed, epsilon):
@@ -388,9 +391,9 @@ def improvement_bound(cfg: AcquisitionConfig, mean, packed, exact=None) -> np.nd
     The factor of ``derivative_only`` is 1. For joint EI, a gradient block
     diagonally dominant by a margin of at least half its largest variance
     gets a closed bound (see the module docstring). Every other candidate
-    gets the exact max(factor, 0), solved on those alone. ``exact``, a
-    boolean array of N if given, is set True where the bound is that
-    exact value.
+    gets the exact max(factor, 0), solved on those alone (``gather``).
+    ``exact``, a boolean array of N if given, is set True where the bound
+    is that exact value.
     """
     N = mean.shape[1]
     closed = np.zeros(N, dtype=bool)
@@ -401,14 +404,22 @@ def improvement_bound(cfg: AcquisitionConfig, mean, packed, exact=None) -> np.nd
     else:
         bound = np.empty(N)
         closed = _ei_margin_bound(cfg.threshold, mean, packed, bound)
-        rest = np.flatnonzero(~closed)
-        if rest.size:
-            bound[rest] = np.maximum(improvement_factor(cfg, mean[:, rest], packed[:, rest]), 0.0)
+        gather(lambda m, p: np.maximum(improvement_factor(cfg, m, p), 0.0),
+               bound, np.flatnonzero(~closed), mean, packed)
     finite = np.isfinite(mean).all(axis=0) & np.isfinite(packed).all(axis=0)
     bound[~finite] = np.nan
     if exact is not None:
         np.logical_and(finite, ~closed, out=exact)
     return bound
+
+
+def gather(fn, out, idx, mean, packed):
+    """``out[idx] = fn(mean[:, idx], packed[:, idx])`` for the candidate
+    indices ``idx``, gathered and computed in sub-blocks of at most
+    ``GATHER`` indices. ``fn`` must act on each candidate alone."""
+    for start in range(0, idx.size, GATHER):
+        part = idx[start:start + GATHER]
+        out[part] = fn(mean[:, part], packed[:, part])
 
 
 def _ei_margin_bound(threshold, mean, packed, out):

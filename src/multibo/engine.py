@@ -669,8 +669,8 @@ class CandidateEvaluator:
         def acquire_survivors(rows):
             keep = rows.start + np.flatnonzero(out[rows] >= threshold)
             out[rows] = -np.inf
-            if keep.size:
-                out[keep] = acquisition.values(cfg, self._mu[:, keep], self._scov[:, keep])
+            acquisition.gather(lambda m, p: acquisition.values(cfg, m, p),
+                               out, keep, self._mu, self._scov)
 
         self._sweep(acquire_survivors)
         return out

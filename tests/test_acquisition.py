@@ -1,5 +1,6 @@
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from multibo import gp
+from multibo import acquisition, gp
 from multibo.acquisition import (
     _solve_gradient_block,
     AcquisitionConfig,
@@ -501,10 +502,13 @@ def _gradient_block(kind, n, rng):
     log_mu=st.floats(-6.0, 6.0),
     poison=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
+    gather=st.integers(1, 40),
 )
-def test_improvement_bound_is_at_least_the_computed_factor(n, kind, log_var, log_mu, poison, seed):
+def test_improvement_bound_is_at_least_the_computed_factor(n, kind, log_var, log_mu, poison, seed,
+                                                           gather):
     # 32 candidates whose gradient blocks are of one kind, at one scale; the
-    # value entries come from a random PSD joint covariance
+    # value entries come from a random PSD joint covariance. The exact
+    # factors are solved in sub-blocks of ``gather`` candidates
     rng = np.random.default_rng(seed)
     size, pairs = 32, packed_pairs(n)
     cov = np.empty((size, 1 + n, 1 + n))
@@ -519,7 +523,8 @@ def test_improvement_bound_is_at_least_the_computed_factor(n, kind, log_var, log
         for c in rng.choice(size, size // 4, replace=False):
             rows = mean if rng.random() < 0.5 else packed
             rows[rng.integers(len(rows)), c] = rng.choice([np.nan, np.inf, -np.inf])
-    assert_improvement_bound_holds(mean, packed, 10.0 ** log_mu * rng.standard_normal())
+    with mock.patch.object(acquisition, "GATHER", gather):
+        assert_improvement_bound_holds(mean, packed, 10.0 ** log_mu * rng.standard_normal())
 
 
 def test_improvement_bound_holds_on_special_blocks():

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
-from multibo import engine, objectives, optimizer
+from multibo import acquisition, engine, objectives, optimizer
 from multibo.acquisition import AcquisitionConfig, packed_pairs
 from multibo.engine import CandidateEvaluator
 from multibo.errors import GridTooLarge, MultiboError, NonFinite
@@ -133,9 +133,10 @@ def _assert_pruned_matches(got, full, mask):
     density=st.floats(0.05, 1.0),
     tie=st.booleans(),
     single=st.booleans(),
+    gather=st.integers(1, 8),
 )
 def test_pruned_acquisition_matches_the_full_sweep(n, grid, family, seed, chunks, density,
-                                                   tie, single):
+                                                   tie, single, gather):
     rng = np.random.default_rng(seed)
     X, f = rng.uniform(-1.0, 1.0, (6, n)), rng.standard_normal(6)
     axes = None
@@ -164,7 +165,9 @@ def test_pruned_acquisition_matches_the_full_sweep(n, grid, family, seed, chunks
     full = _masked_full(ev, cfg, mask)
     results = []
     for chunk in chunks:
-        with mock.patch.object(engine, "_SWEEP", chunk):
+        # survivors and exact factors are gathered in sub-blocks of ``gather``
+        with mock.patch.object(engine, "_SWEEP", chunk), \
+                mock.patch.object(acquisition, "GATHER", gather):
             got = ev.acquisition_values(cfg, mask)
         _assert_pruned_matches(got, full, mask)
         results.append(got)
