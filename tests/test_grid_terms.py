@@ -10,6 +10,7 @@ blocks of whole grid rows.
 """
 
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -330,14 +331,16 @@ def test_grid_evaluator_sweeps_whole_grid_rows(counts):
 
 
 def test_grid_append_allocates_no_full_width_gemm_output():
-    # 40^3 = 64,000 candidates in sweep blocks of at most 4,096
+    # 40^3 = 64,000 candidates in sweep blocks of at most 4,096, run one
+    # after another so that the peak does not grow with the worker count
     n, axis = 3, np.linspace(-1.0, 1.0, 40)
     axes = [axis] * n
     cands = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, n)
     full = 8 * (1 + n) * len(cands)
     rng = np.random.default_rng(0)
     X, f = rng.uniform(-1.0, 1.0, (3, n)), rng.standard_normal(3)
-    with mock.patch.object(engine, "_SWEEP", 4_096):
+    with mock.patch.object(engine, "_SWEEP", 4_096), \
+            mock.patch.object(engine, "_executor", lambda: SimpleNamespace(map=map)):
         tracemalloc.start()
         try:
             ev = CandidateEvaluator(SquaredExponential(1.0, 0.5), cands, 0.0, capacity=3,
