@@ -383,7 +383,7 @@ def improvement_factor(cfg: AcquisitionConfig, mean, packed) -> np.ndarray:
     return expected_improvement(value_mean, np.sqrt(value_var), cfg.threshold)
 
 
-def improvement_bound(cfg: AcquisitionConfig, mean, packed, exact=None) -> np.ndarray:
+def improvement_bound(cfg: AcquisitionConfig, mean, packed, exact) -> np.ndarray:
     """An upper bound on the computed max(``improvement_factor``, 0) at N
     candidates that skips the gradient solve wherever it can, and NaN
     wherever any of a candidate's mean or packed entries is non-finite.
@@ -392,8 +392,8 @@ def improvement_bound(cfg: AcquisitionConfig, mean, packed, exact=None) -> np.nd
     diagonally dominant by a margin of at least half its largest variance
     gets a closed bound (see the module docstring). Every other candidate
     gets the exact max(factor, 0), solved on those alone (``gather``).
-    ``exact``, a boolean array of N if given, is set True where the bound
-    is that exact value.
+    ``exact``, a boolean array of N, is set True where the bound is that
+    exact value.
     """
     N = mean.shape[1]
     closed = np.zeros(N, dtype=bool)
@@ -408,8 +408,7 @@ def improvement_bound(cfg: AcquisitionConfig, mean, packed, exact=None) -> np.nd
                bound, np.flatnonzero(~closed), mean, packed)
     finite = np.isfinite(mean).all(axis=0) & np.isfinite(packed).all(axis=0)
     bound[~finite] = np.nan
-    if exact is not None:
-        np.logical_and(finite, ~closed, out=exact)
+    np.logical_and(finite, ~closed, out=exact)
     return bound
 
 

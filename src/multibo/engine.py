@@ -176,8 +176,7 @@ own, ``_CHUNK`` (20,000) rows, and the rounding of each block's triangular
 solve depends on its row count, so the covariances and the mean after a
 fit or refit can move in the last bits when ``_CHUNK`` changes, but not
 when ``_SWEEP`` does. The construction packs a non-stationary kernel's
-prior blocks in ``_CHUNK``-row blocks too, and ``optimizer``'s
-feasibility mask bounds its distance matrix by them.
+prior blocks in ``_CHUNK``-row blocks too.
 """
 
 from __future__ import annotations
@@ -197,7 +196,7 @@ from .errors import GridTooLarge
 from .gp import GPState
 from .numerics import CholeskyFactor
 
-_CHUNK = 20_000  # candidate rows per block of a rebuild, the prior blocks and the feasibility mask
+_CHUNK = 20_000  # candidate rows per block of a rebuild and of the prior blocks
 _SWEEP = 65_536  # candidate rows per block of the per-step sweeps
 
 _pool = None

@@ -5,8 +5,9 @@ acquisition, observes the objective at the argmax (ties resolve to the
 lowest candidate index), refits the posterior, and decides whether the new
 observation "locates" an optimum. Candidates closer than ``min_distance``
 to any already-sampled point are never proposed; when none remain the run
-terminates early rather than relaxing the constraint. ``run`` and
-``propose_next`` share one select step, ``Session.ask``.
+terminates early rather than relaxing the constraint: at a fit as after a
+tell, each history point clears the mask near it (``_exclude_near``).
+``run`` and ``propose_next`` share one select step, ``Session.ask``.
 
 A step is flagged as a located optimum when the conditions its acquisition
 family actually reasons about hold at the sampled point: families using the
@@ -26,7 +27,7 @@ from scipy.spatial.distance import cdist
 
 from . import numerics
 from .acquisition import AcquisitionConfig
-from .engine import _CHUNK, CandidateEvaluator
+from .engine import CandidateEvaluator
 from .errors import ConfigError, Exhausted, GridTooLarge, NonFinite
 from .gp import GPState
 from .kernels import Kernel
@@ -189,15 +190,9 @@ _DIST_RTOL = 1e-9
 
 def _feasible_mask(candidates: np.ndarray, points: np.ndarray, d: float) -> np.ndarray:
     """True where a candidate is at least ``d`` from every row of ``points``."""
-    mask = np.ones(candidates.shape[0], dtype=bool)
     if d <= 0 or points.shape[0] == 0:
-        return mask
-    cut = d * d * (1.0 - _DIST_RTOL)
-    # candidate blocks keep the distance matrix at _CHUNK rows
-    for start in range(0, candidates.shape[0], _CHUNK):
-        rows = slice(start, start + _CHUNK)
-        mask[rows] = np.all(cdist(candidates[rows], points, "sqeuclidean") >= cut, axis=1)
-    return mask
+        return np.ones(candidates.shape[0], dtype=bool)
+    return np.all(cdist(candidates, points, "sqeuclidean") >= d * d * (1.0 - _DIST_RTOL), axis=1)
 
 
 def _exclude_near(mask: np.ndarray, candidates: np.ndarray, axes, point: np.ndarray, d: float):
@@ -229,13 +224,13 @@ class Session:
     """Ask/tell over a fixed candidate stack: one ``CandidateEvaluator``, the
     feasibility mask and the select step.
 
-    ``fit`` conditions the posterior on samples and starts the mask from the
-    history points; ``ask`` scores every candidate and returns the index and
-    acquisition of the feasible maximum (ties to the lowest index), or raises
-    ``Exhausted``, or ``NonFinite`` when that acquisition is NaN; ``tell``
-    adds one observation through the evaluator's rank-1 update, growing its
-    capacity when it is full, and clears the mask near the new point. The
-    session keeps ``candidates`` itself, not a copy.
+    ``fit`` conditions the posterior on samples and excludes each history
+    point from an all-True mask; ``ask`` scores every candidate and returns
+    the index and acquisition of the feasible maximum (ties to the lowest
+    index), or raises ``Exhausted``, or ``NonFinite`` when that acquisition
+    is NaN; ``tell`` adds one observation through the evaluator's rank-1
+    update, growing its capacity when it is full, and excludes the new
+    point. The session keeps ``candidates`` itself, not a copy.
     """
 
     def __init__(self, kernel, candidates, prior_mean, min_distance, capacity,
@@ -249,7 +244,9 @@ class Session:
 
     def fit(self, X, f, history):
         self.evaluator.fit(X, f)
-        self.mask = _feasible_mask(self.candidates, history, self.min_distance)
+        self.mask = np.ones(len(self.candidates), dtype=bool)
+        for p in history:
+            self.exclude(p)
 
     def ask(self, acq_cfg: AcquisitionConfig) -> tuple[int, float]:
         if not self.mask.any():

@@ -29,36 +29,40 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def write_trace(path, trace: RunTrace, config_echo: dict) -> None:
-    dim = trace.config.dim
-    cols = ["step", "kind"] + [f"x{i + 1}" for i in range(dim)] + [
-        "value", "acquisition", "flagged", "distance",
-    ]
+def _write_csv(path, header, columns, rows) -> None:
+    """One ``# `` line per entry of ``header``, the column row, then one line
+    per row of string fields."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {TRACE_FORMAT}\n")
-        fh.write(f"# config {json.dumps(config_echo, sort_keys=True)}\n")
-        fh.write(f"# termination {trace.termination}\n")
-        fh.write(f"# n_samples {trace.n_samples}\n")
-        fh.write(f"# jitter {_fmt(trace.jitter)}\n")
-        fh.write(",".join(cols) + "\n")
-        for rec in trace.steps:
-            row = [str(rec.step), rec.kind]
-            row += [_fmt(c) for c in rec.point]
-            row += [_fmt(rec.value), _fmt(rec.acquisition), str(int(rec.flagged)), _fmt(rec.distance)]
+        for line in header:
+            fh.write(f"# {line}\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
             fh.write(",".join(row) + "\n")
+
+
+def _config_line(config_echo: dict) -> str:
+    return f"config {json.dumps(config_echo, sort_keys=True)}"
+
+
+def write_trace(path, trace: RunTrace, config_echo: dict) -> None:
+    header = [TRACE_FORMAT, _config_line(config_echo), f"termination {trace.termination}",
+              f"n_samples {trace.n_samples}", f"jitter {_fmt(trace.jitter)}"]
+    coords = [f"x{i + 1}" for i in range(trace.config.dim)]
+    columns = ["step", "kind"] + coords + ["value", "acquisition", "flagged", "distance"]
+    rows = ([str(rec.step), rec.kind] + [_fmt(c) for c in rec.point]
+            + [_fmt(rec.value), _fmt(rec.acquisition), str(int(rec.flagged)), _fmt(rec.distance)]
+            for rec in trace.steps)
+    _write_csv(path, header, columns, rows)
 
 
 def write_plot_data(path, trace: RunTrace, config_echo: dict) -> None:
     """``plot_data.csv``: the trace's rows without the kind and flag columns."""
-    cols = ["step"] + [f"x{i + 1}" for i in range(trace.config.dim)]
-    cols += ["value", "acquisition", "distance"]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# config {json.dumps(config_echo, sort_keys=True)}\n")
-        fh.write(",".join(cols) + "\n")
-        for rec in trace.steps:
-            row = [str(rec.step)] + [_fmt(c) for c in rec.point]
-            row += [_fmt(rec.value), _fmt(rec.acquisition), _fmt(rec.distance)]
-            fh.write(",".join(row) + "\n")
+    coords = [f"x{i + 1}" for i in range(trace.config.dim)]
+    columns = ["step"] + coords + ["value", "acquisition", "distance"]
+    rows = ([str(rec.step)] + [_fmt(c) for c in rec.point]
+            + [_fmt(rec.value), _fmt(rec.acquisition), _fmt(rec.distance)]
+            for rec in trace.steps)
+    _write_csv(path, [_config_line(config_echo)], columns, rows)
 
 
 @dataclass(frozen=True)
@@ -118,13 +122,8 @@ def read_trace(path) -> TraceFile:
 
 def write_report(path, columns, rows, config_echo: dict, kind: str) -> None:
     """Comparison report: one row per run/method, comment header with the echo."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {REPORT_FORMAT}\n")
-        fh.write(f"# kind {kind}\n")
-        fh.write(f"# config {json.dumps(config_echo, sort_keys=True)}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join("" if v is None else str(v) for v in row) + "\n")
+    _write_csv(path, [REPORT_FORMAT, f"kind {kind}", _config_line(config_echo)], columns,
+               (["" if v is None else str(v) for v in row] for row in rows))
 
 
 def write_summary(path, summary: dict) -> None:

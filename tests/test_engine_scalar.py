@@ -38,7 +38,8 @@ COND_ATOL = np.finfo(float).eps
 # so the joint families get ATOL + cond_atol cond(S_yy) + RTOL |ref| there.
 SINGULAR_RTOL = 1e-6
 
-CASES = [(False, 1), (False, 2), (False, 3), (False, 4), (True, 2), (True, 3), (True, 4)]
+CASES = [(False, 1), (False, 2), (False, 3), (False, 4), (False, 5),
+         (True, 2), (True, 3), (True, 4), (True, 5)]
 
 
 def _cases(quadratic, n, seed, design="random"):

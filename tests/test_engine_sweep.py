@@ -407,8 +407,7 @@ def test_feasible_mask_matches_pairwise_distances():
     points = np.vstack([cands[rng.integers(0, len(cands), 5)], rng.uniform(0, 1, (3, 2))])
     dist = np.linalg.norm(cands[:, None, :] - points[None, :, :], axis=-1)
     want = np.all(dist >= 0.1 * (1.0 - 1e-9), axis=1)
-    with mock.patch.object(optimizer, "_CHUNK", 17):
-        got = optimizer._feasible_mask(cands, points, 0.1)
+    got = optimizer._feasible_mask(cands, points, 0.1)
     np.testing.assert_array_equal(got, want)
     assert optimizer._feasible_mask(cands, points, 0.0).all()
     assert optimizer._feasible_mask(cands, np.empty((0, 2)), 0.1).all()

@@ -2,7 +2,8 @@
 
 On a tensor grid of candidates a separable kernel's cross terms are kept as
 per-axis factors instead of a dense cache, and a new sample clears the
-feasibility mask only inside the index box within ``min_distance`` of it.
+feasibility mask only inside the index box within ``min_distance`` of it,
+as each history point does when a session's fit builds the mask.
 These tests pin both against the dense paths they replace, the memory the
 grid representation saves, the grid GEMM's rows computed per sweep block
 on the pool against the full products one after another, and the sweep's
@@ -157,6 +158,28 @@ def test_box_updated_mask_equals_the_full_rule(cfg, seed, n_points, spacing, mul
     np.testing.assert_array_equal(got, _feasible_mask(cands, points, d))
     # random candidates take the full-width rule
     np.testing.assert_array_equal(_box_updated_mask(cands, None, points, d), got)
+
+
+@pytest.mark.parametrize("history", ["empty", "on the grid", "one off the grid"])
+@pytest.mark.parametrize("d", [0.0, 0.1, 0.27])  # 0.1 is the grid step
+@pytest.mark.parametrize("grid", [True, False])
+def test_fit_mask_equals_the_full_rule(grid, d, history):
+    mode = {"grid_step": 0.1} if grid else {"random_candidates": 150}
+    cfg = OptimizerConfig(bounds=[(0.0, 1.0), (0.0, 1.0)], kernel=SquaredExponential(1.0, 0.5),
+                          acquisition=AcquisitionConfig("joint_ei", 0.2, 0.3), budget=1, **mode)
+    cands = optimizer.generate_candidates(cfg)
+    axes = optimizer.grid_axes(cfg)
+    rng = np.random.default_rng(5)
+    points = cands[rng.choice(len(cands), 4, replace=False)]
+    if history == "empty":
+        points = points[:0]
+    elif history == "one off the grid":
+        points[-1] = [0.433, 0.561]
+    session = optimizer.Session(cfg.kernel, cands, 0.0, d, capacity=2,
+                                jitter_schedule=(0.0,), axes=axes)
+    session.fit(cands[[3, 70]], np.array([0.4, -0.2]), points)
+    np.testing.assert_array_equal(session.mask, _feasible_mask(cands, points, d))
+    assert session.mask.all() == (d == 0.0 or history == "empty")
 
 
 def _evaluator_bytes(ev):
