@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import GridTooLarge, OutOfBounds, ParseError
 
@@ -267,6 +266,10 @@ def _strict_local_maxima(values, axes) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _polish_maximum(objective, x0, bounds) -> np.ndarray:
+    # imported here: only the Griewank and Shubert registries polish, and
+    # scipy.optimize adds ~12 MB and ~0.15 s to every process that loads it
+    from scipy.optimize import minimize
+
     res = minimize(
         lambda p: -float(objective(p)),
         np.asarray(x0, dtype=float),

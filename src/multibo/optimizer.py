@@ -23,7 +23,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from . import numerics
 from .acquisition import AcquisitionConfig
@@ -189,10 +188,22 @@ _DIST_RTOL = 1e-9
 
 
 def _feasible_mask(candidates: np.ndarray, points: np.ndarray, d: float) -> np.ndarray:
-    """True where a candidate is at least ``d`` from every row of ``points``."""
-    if d <= 0 or points.shape[0] == 0:
-        return np.ones(candidates.shape[0], dtype=bool)
-    return np.all(cdist(candidates, points, "sqeuclidean") >= d * d * (1.0 - _DIST_RTOL), axis=1)
+    """True where a candidate is at least ``d`` from every row of ``points``.
+    Each squared distance is summed from zero coordinate by coordinate, in
+    the order of scipy's ``cdist(..., "sqeuclidean")``, so the rule gives
+    its bits without loading ``scipy.spatial``."""
+    mask = np.ones(candidates.shape[0], dtype=bool)
+    if d <= 0:
+        return mask
+    cut = d * d * (1.0 - _DIST_RTOL)
+    for p in points:
+        sq = np.zeros(candidates.shape[0])
+        for c, x in enumerate(p):
+            diff = candidates[:, c] - x
+            diff *= diff
+            sq += diff
+        mask &= sq >= cut
+    return mask
 
 
 def _exclude_near(mask: np.ndarray, candidates: np.ndarray, axes, point: np.ndarray, d: float):

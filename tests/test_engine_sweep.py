@@ -1,5 +1,6 @@
 """The blocked candidate sweep, the pruned masked acquisition, the BLAS
-thread pin, capacity, the memory preflight and the feasibility mask."""
+thread pin, the pipelined rebuild, capacity, the memory preflight, the
+feasibility mask and what ``import multibo`` loads."""
 
 import ctypes.util
 import json
@@ -8,9 +9,12 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -18,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
+from scipy.spatial.distance import cdist
 
 from multibo import acquisition, engine, objectives, optimizer
 from multibo.acquisition import AcquisitionConfig, packed_pairs
@@ -25,6 +30,7 @@ from multibo.engine import CandidateEvaluator
 from multibo.errors import GridTooLarge, MultiboError, NonFinite
 from multibo.kernels import Polynomial, SquaredExponential
 from test_acquisition import diagonal_fallback
+from test_grid_terms import run_now
 
 FAMILIES = ("joint_pi", "joint_ei", "vanilla_pi", "vanilla_ei", "derivative_only")
 _DEFAULT_SWEEP = engine._SWEEP
@@ -280,6 +286,39 @@ def test_importing_multibo_pins_every_openblas_to_one_thread():
     assert counts == {path: 1 for path in counts}
 
 
+# import multibo and a budget-2 compare load neither module; building the
+# Griewank benchmark loads scipy.optimize and prints its maxima count
+SCIPY_UNUSED = """
+import sys
+from pathlib import Path
+import multibo
+from multibo import harness
+unused = ("scipy.optimize", "scipy.spatial")
+assert not [m for m in unused if m in sys.modules], "loaded by import multibo"
+cfg = Path(sys.argv[1])
+lines = [line for line in cfg.read_text().splitlines() if not line.startswith("budget")]
+cfg = Path(sys.argv[2]) / "compare.cfg"
+cfg.write_text("\\n".join(lines + ["budget = 2"]) + "\\n")
+assert harness.main(["compare", str(cfg), "--out", sys.argv[2] + "/out"]) == 0
+assert not [m for m in unused if m in sys.modules], "loaded by multibo compare"
+spec = multibo.make_benchmark("griewank", dimension=3)
+assert "scipy.optimize" in sys.modules
+print(len(spec.ground_truth))
+"""
+
+
+def test_a_synthetic_run_loads_neither_scipy_optimize_nor_spatial(tmp_path):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    cfg = Path(__file__).resolve().parent.parent / "configs" / "synthetic1d_compare.cfg"
+    proc = subprocess.run([sys.executable, "-c", SCIPY_UNUSED, str(cfg), str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    # the Griewank registry still polishes, and certifies its four maxima
+    assert proc.stdout.strip().splitlines()[-1] == "4"
+
+
 def test_the_blas_pin_leaves_libraries_without_a_setter_alone(capfd):
     # the C maths library exports no OpenBLAS setter
     engine._pin_blas([ctypes.util.find_library("m")])
@@ -392,6 +431,87 @@ def test_prior_blocks_are_packed_block_by_block():
     np.testing.assert_array_equal(ev._k0p, [k0[:, i, j] for i, j in packed_pairs(n)])
 
 
+def _recording(cls, name, calls):
+    """``cls.name`` wrapped to log the calling thread's id under ``name``."""
+    original = getattr(cls, name)
+
+    def record(*args, **kwargs):
+        calls.append((name, threading.get_ident()))
+        return original(*args, **kwargs)
+
+    return record
+
+
+@pytest.mark.parametrize("axes_count", [None, 41], ids=["dense", "grid"])
+@mock.patch.object(engine, "_CHUNK", 100)
+def test_a_multi_chunk_fit_calls_the_kernel_matrices_from_the_calling_thread(axes_count):
+    # 41^2 = 1,681 or 1,700 random candidates: 17 chunks of at most 100,
+    # conditioned by more workers than cores, which hand over the GIL often
+    n, rng = 2, np.random.default_rng(11)
+    axes = None if axes_count is None else [np.linspace(-1.0, 1.0, axes_count)] * n
+    cands = (rng.uniform(-1.0, 1.0, (1_700, n)) if axes is None
+             else np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, n))
+    X, f = rng.uniform(-1.0, 1.0, (6, n)), rng.standard_normal(6)
+    kernel = SquaredExponential(1.2, 0.4)
+    serial = CandidateEvaluator(kernel, cands, 0.1, capacity=6, axes=axes)
+    with mock.patch.object(engine, "_executor", lambda: SimpleNamespace(map=map, submit=run_now)):
+        serial.fit(X, f)
+    calls = []
+    interval = sys.getswitchinterval()
+    with ThreadPoolExecutor(8) as pool, mock.patch.object(engine, "_pool", pool), \
+            mock.patch.object(engine, "_workers", lambda: 8), \
+            mock.patch.object(SquaredExponential, "eval_matrix",
+                              _recording(SquaredExponential, "eval_matrix", calls)), \
+            mock.patch.object(SquaredExponential, "grad_tensor",
+                              _recording(SquaredExponential, "grad_tensor", calls)), \
+            mock.patch.object(engine, "solve_triangular",
+                              _recording(engine, "solve_triangular", calls)):
+        ev = CandidateEvaluator(kernel, cands, 0.1, capacity=6, axes=axes)
+        sys.setswitchinterval(1e-6)
+        try:
+            ev.fit(X, f)
+        finally:
+            sys.setswitchinterval(interval)
+    here = threading.get_ident()
+    assert [name for name, _ in calls].count("grad_tensor") == 17
+    assert all(thread == here for name, thread in calls if name != "solve_triangular")
+    # the chunks' solves ran on the pool, and gave the serial loop's bits
+    assert all(thread != here for name, thread in calls if name == "solve_triangular")
+    np.testing.assert_array_equal(ev._scov, serial._scov)
+    np.testing.assert_array_equal(ev._mu, serial._mu)
+
+
+def _slow_solve(*args, **kwargs):
+    # the pool falls behind the thread that builds the chunks
+    time.sleep(0.02)
+    return solve_triangular(*args, **kwargs)
+
+
+@mock.patch.object(engine, "_CHUNK", 2_000)
+@mock.patch.object(engine, "solve_triangular", _slow_solve)
+def test_a_multi_chunk_refit_keeps_at_most_one_chunk_per_worker_alive():
+    n, k = 3, 40
+    rng = np.random.default_rng(12)
+    X, f = rng.uniform(-1.0, 1.0, (k, n)), rng.standard_normal(k)
+
+    def transient(n_cand):
+        ev = CandidateEvaluator(SquaredExponential(1.0, 0.5), rng.uniform(-1.0, 1.0, (n_cand, n)),
+                                0.0, capacity=k)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            ev.fit(X, f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - before
+
+    one = transient(engine._CHUNK)
+    # a chunk's kernel rows and their solve, the bulk of its transient
+    assert one >= 2 * engine._CHUNK * (1 + n) * k * 8
+    assert transient(8 * engine._CHUNK) <= engine._workers() * one
+
+
 def test_evaluator_refuses_a_capacity_beyond_physical_memory():
     # the estimate is ~8e24 bytes; nothing that large is ever allocated
     with pytest.raises(GridTooLarge, match=r"need about \d+ bytes; .* has \d+ bytes"):
@@ -411,6 +531,27 @@ def test_feasible_mask_matches_pairwise_distances():
     np.testing.assert_array_equal(got, want)
     assert optimizer._feasible_mask(cands, points, 0.0).all()
     assert optimizer._feasible_mask(cands, np.empty((0, 2)), 0.1).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 5), m=st.integers(1, 64), seed=st.integers(0, 2**32 - 1),
+       d=st.sampled_from([0.005, 0.1, 0.25, 0.3, 1.0]) | st.floats(1e-3, 2.0))
+def test_feasible_mask_matches_cdist_bit_for_bit(n, m, seed, d):
+    rng = np.random.default_rng(seed)
+    # grid points at spacing exactly d, history on and off the grid
+    grid = rng.uniform(-1.0, 1.0, n) + d * rng.integers(-3, 4, (200, n))
+    points = np.where(rng.random((m, 1)) < 0.5, grid[rng.integers(0, len(grid), m)],
+                      rng.uniform(-1.0, 1.0, (m, n)))
+    # candidates exactly d from a point along one axis, and on the rule's
+    # cut along a random direction, where the order of the sum decides
+    shifted = points.copy()
+    shifted[np.arange(m), rng.integers(0, n, m)] += d
+    u = rng.standard_normal((m, n))
+    on_cut = points + u / np.linalg.norm(u, axis=1, keepdims=True) * d * math.sqrt(1.0 - 1e-9)
+    cands = np.vstack([grid, points, shifted, on_cut, rng.uniform(-1.0, 1.0, (100, n))])
+    want = np.all(cdist(cands, points, "sqeuclidean") >= d * d * (1.0 - optimizer._DIST_RTOL),
+                  axis=1)
+    np.testing.assert_array_equal(optimizer._feasible_mask(cands, points, d), want)
 
 
 def test_synthetic_benchmark_is_built_once_per_bump_list():

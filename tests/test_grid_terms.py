@@ -11,6 +11,7 @@ blocks of whole grid rows.
 """
 
 import tracemalloc
+from concurrent.futures import Future
 from types import SimpleNamespace
 from unittest import mock
 
@@ -353,6 +354,13 @@ def test_grid_evaluator_sweeps_whole_grid_rows(counts):
     assert seen == ev._blocks()
 
 
+def run_now(fn, *args):
+    """A serial stand-in for ``ThreadPoolExecutor.submit``."""
+    done = Future()
+    done.set_result(fn(*args))
+    return done
+
+
 def test_grid_append_allocates_no_full_width_gemm_output():
     # 40^3 = 64,000 candidates in sweep blocks of at most 4,096, run one
     # after another so that the peak does not grow with the worker count
@@ -363,7 +371,7 @@ def test_grid_append_allocates_no_full_width_gemm_output():
     rng = np.random.default_rng(0)
     X, f = rng.uniform(-1.0, 1.0, (3, n)), rng.standard_normal(3)
     with mock.patch.object(engine, "_SWEEP", 4_096), \
-            mock.patch.object(engine, "_executor", lambda: SimpleNamespace(map=map)):
+            mock.patch.object(engine, "_executor", lambda: SimpleNamespace(map=map, submit=run_now)):
         tracemalloc.start()
         try:
             ev = CandidateEvaluator(SquaredExponential(1.0, 0.5), cands, 0.0, capacity=3,
