@@ -397,9 +397,7 @@ def improvement_bound(cfg: AcquisitionConfig, mean, packed, exact) -> np.ndarray
     """
     N = mean.shape[1]
     closed = np.zeros(N, dtype=bool)
-    if not cfg.uses_value:
-        bound = np.ones(N)
-    elif cfg.family != "joint_ei":
+    if cfg.family != "joint_ei":
         bound = np.maximum(improvement_factor(cfg, mean, packed), 0.0)
     else:
         bound = np.empty(N)

@@ -147,11 +147,11 @@ OpenBLAS or such a setter, nothing is pinned.
 
 The dense cache's GEMM, full width, the Cholesky factorisation of ``fit``
 and the small triangular solves of ``fit``, ``append`` and ``state`` run
-on the calling thread. The three small solves of every append (z, the new
-factor row and c) call LAPACK's ``dtrtrs`` directly, with the arguments
-``scipy.linalg.solve_triangular`` would pass it, which skips that
-wrapper's ~25 us of checks per call; ``append`` and ``fit`` reject a
-non-finite told value or point themselves, as its check did. The
+on the calling thread. Every triangular solve, a rebuild chunk's and the
+three of every append (z, the new factor row and c), calls LAPACK's
+``dtrtrs`` directly, as ``scipy.linalg.solve_triangular`` would, which
+skips that wrapper's ~25 us of checks per call; ``append`` and ``fit``
+reject a non-finite told value or point themselves, as its check did. The
 new sample's factors are computed on the calling thread too; they are
 small. So is every call of the kernel's matrix methods: ``eval_matrix``
 (the kernel matrix in ``fit``, the new sample's row in ``append``),
@@ -205,7 +205,6 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dtrtrs
 
 from . import acquisition, numerics
@@ -577,7 +576,7 @@ class CandidateEvaluator:
         """The packed covariances and the mean of the candidates ``block``
         from their kernel rows ``a``."""
         k = self._k
-        v = solve_triangular(self._L[:k, :k], a.reshape(-1, k).T, lower=True).T.reshape(a.shape)
+        v = _trtrs(self._L[:k, :k].T, a.reshape(-1, k).T, lower=0, trans=1).T.reshape(a.shape)
         for p, (i, j) in enumerate(self._pairs):
             k0 = self._k0p[p, block] if self._k0p.shape[1] > 1 else self._k0p[p, 0]
             self._scov[p, block] = k0 - np.einsum("ak,ak->a", v[:, i, :], v[:, j, :])

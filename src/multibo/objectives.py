@@ -3,11 +3,11 @@
 All objectives are vectorized: they accept arrays of shape (..., n) and
 return values of shape (...). Every benchmark is *maximized*.
 
-Ground-truth registries are built at construction: analytic stationary
-points (or grid-scan candidates) are polished by a bounded local search and
-then certified as local maxima by comparing against axis neighbors at a
-small offset. An objective whose optima cannot be certified refuses to
-register them.
+Ground-truth registries are built at construction: each maximum is found
+by bisecting an analytic one-dimensional slope (``_bisect``) around an
+analytic stationary point or a grid-scan candidate, and then certified as a
+local maximum by comparing against axis neighbors at a small offset. An
+objective whose optima cannot be certified refuses to register them.
 """
 
 from __future__ import annotations
@@ -101,17 +101,20 @@ class SyntheticBumps:
         grid = np.arange(0.0, 1.0 + scan_step / 2, scan_step)
         d = self.derivative(grid)
         crossings = np.flatnonzero((d[:-1] > 0) & (d[1:] <= 0))
-        maxima = []
-        for j in crossings:
-            lo, hi = grid[j], grid[j + 1]
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if self.derivative(mid) > 0:
-                    lo = mid
-                else:
-                    hi = mid
-            maxima.append(0.5 * (lo + hi))
-        return np.asarray(maxima)
+        return np.asarray([_bisect(self.derivative, grid[j], grid[j + 1]) for j in crossings])
+
+
+def _bisect(slope, lo, hi) -> float:
+    """Where ``slope`` changes sign in [lo, hi]: 60 halvings that keep one
+    end on each side of the change."""
+    rising = slope(lo) > 0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if (slope(mid) > 0) == rising:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 # -- tabulated surfaces -------------------------------------------------------
@@ -265,21 +268,6 @@ def _strict_local_maxima(values, axes) -> tuple[np.ndarray, np.ndarray]:
     return pts, values[mask]
 
 
-def _polish_maximum(objective, x0, bounds) -> np.ndarray:
-    # imported here: only the Griewank and Shubert registries polish, and
-    # scipy.optimize adds ~12 MB and ~0.15 s to every process that loads it
-    from scipy.optimize import minimize
-
-    res = minimize(
-        lambda p: -float(objective(p)),
-        np.asarray(x0, dtype=float),
-        method="Nelder-Mead",
-        bounds=[(lo, hi) for lo, hi in bounds],
-        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000},
-    )
-    return np.asarray(res.x)
-
-
 def _certify_maxima(objective, points, bounds, offset=CERTIFICATE_OFFSET):
     """Check each point dominates its 2n axis neighbors at ``offset``."""
     bounds = np.asarray(bounds, dtype=float)
@@ -299,7 +287,7 @@ def _spec(name, dimension, bounds, objective, truths) -> BenchmarkSpec:
     bounds = np.asarray(bounds, dtype=float)
     truths = np.atleast_2d(np.asarray(truths, dtype=float)) if len(truths) else np.empty((0, dimension))
     values = np.asarray([float(objective(t)) for t in truths])
-    order = np.argsort(-values) if len(values) else np.array([], dtype=int)
+    order = np.argsort(-values, kind="stable") if len(values) else np.array([], dtype=int)
     truths, values = truths[order], values[order]
     _certify_maxima(objective, truths, bounds)
     return BenchmarkSpec(
@@ -315,24 +303,31 @@ def _spec(name, dimension, bounds, objective, truths) -> BenchmarkSpec:
 @lru_cache(maxsize=None)
 def _griewank_benchmark(dimension: int) -> BenchmarkSpec:
     bounds = [(-5.0, 5.0)] * dimension
-    # stationary seeds of the cosine product, nudged by the quadratic term
-    seeds = []
-    for sign in (1.0, -1.0):
-        s1 = np.zeros(dimension)
-        s1[0] = sign * np.pi
-        seeds.append(s1)
-        s2 = np.zeros(dimension)
-        s2[1] = sign * np.sqrt(2.0) * np.pi
-        seeds.append(s2)
-    truths = [_polish_maximum(griewank, s, bounds) for s in seeds]
+    # the maxima lie at +-t on axes 0 and 1, where griewank is even and reads
+    # 1 + t^2/4000 - cos(t/r), r = sqrt(axis + 1): its slope's zero past r*pi;
+    # registered as +axis 0, +axis 1, -axis 0, -axis 1
+    truths = np.zeros((4, dimension))
+    for axis in (0, 1):
+        r = np.sqrt(axis + 1.0)
+        t = _bisect(lambda t: t / 2000.0 + np.sin(t / r) / r, r * np.pi, r * (np.pi + 0.5))
+        truths[[axis, axis + 2], axis] = t, -t
     return _spec(f"griewank{dimension}d", dimension, bounds, griewank, truths)
+
+
+def _shubert_factor_slope(t) -> float:
+    """Slope of one coordinate's factor sum_{i=1..5} i cos((i+1) t + i)."""
+    i = np.arange(1.0, 6.0)
+    return float(-np.sum(i * (i + 1.0) * np.sin((i + 1.0) * t + i)))
 
 
 @lru_cache(maxsize=None)
 def _shubert_benchmark() -> BenchmarkSpec:
     bounds = [(-2.0, 0.0), (-2.0, 0.0)]
-    pts, _ = grid_local_maxima(shubert, bounds, resolution=0.005)
-    truths = [_polish_maximum(shubert, p, bounds) for p in pts]
+    step = 0.005
+    pts, _ = grid_local_maxima(shubert, bounds, resolution=step)
+    # shubert is a product of factors, so each coordinate of a maximum is a
+    # stationary point of its factor within a lattice step
+    truths = [[_bisect(_shubert_factor_slope, c - step, c + step) for c in p] for p in pts]
     return _spec("shubert", 2, bounds, shubert, truths)
 
 

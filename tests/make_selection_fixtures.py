@@ -16,11 +16,16 @@ of ``griewank3d_jointei.cfg`` is frozen as well (``GRID3D_FULL``); the
 acceptance test of criterion 3 compares its own run against it.
 
 Run from the repository root:  python tests/make_selection_fixtures.py
+With ``--check`` it regenerates into a temporary directory, writes nothing,
+and prints for each fixture the columns that differ and the first row that
+does; it exits 1 when any fixture would change.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -147,16 +152,47 @@ def run_all(out_root) -> dict[str, list[str]]:
     return selections
 
 
-def main():
+def fixture_changes(name, lines) -> str | None:
+    """How ``lines`` differ from the fixture ``name``: the columns that
+    differ and the first differing line; None when they are the same."""
+    path = FIXTURES / f"{name}.csv"
+    if not path.exists():
+        return f"{name}: no fixture yet"
+    old = path.read_text(encoding="utf-8").splitlines()
+    if old == lines:
+        return None
+    rows, was = [l.split(",") for l in lines], [l.split(",") for l in old]
+    columns = [c for j, c in enumerate(rows[0])
+               if any(r[j:j + 1] != w[j:j + 1] for r, w in zip(rows, was))]
+    first = next(i for i in range(max(len(lines), len(old))) if lines[i:i + 1] != old[i:i + 1])
+    return "\n".join([
+        f"{name}: {len(lines)} lines, was {len(old)};"
+        f" columns differ: {', '.join(columns) or '(none)'}",
+        f"  first at line {first + 1}:",
+        f"  was {old[first] if first < len(old) else '(none)'}",
+        f"  now {lines[first] if first < len(lines) else '(none)'}",
+    ])
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help="write nothing; print how each fixture would change")
+    check = parser.parse_args(argv).check
     os.chdir(REPO)
-    FIXTURES.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         selections = run_all(tmp)
         selections[GRID3D_FULL] = full_grid3d_lines(tmp)
+    if check:
+        changes = [c for c in (fixture_changes(n, l) for n, l in selections.items()) if c]
+        print("\n".join(changes) if changes else f"all {len(selections)} fixtures unchanged")
+        return 1 if changes else 0
+    FIXTURES.mkdir(parents=True, exist_ok=True)
     for name, lines in selections.items():
         (FIXTURES / f"{name}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {len(selections)} fixtures to {FIXTURES}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

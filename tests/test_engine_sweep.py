@@ -286,8 +286,8 @@ def test_importing_multibo_pins_every_openblas_to_one_thread():
     assert counts == {path: 1 for path in counts}
 
 
-# import multibo and a budget-2 compare load neither module; building the
-# Griewank benchmark loads scipy.optimize and prints its maxima count
+# import multibo, a budget-2 compare and building the Griewank (2-5 D) and
+# Shubert registries load neither module; prints each registry's maxima count
 SCIPY_UNUSED = """
 import sys
 from pathlib import Path
@@ -301,13 +301,14 @@ cfg = Path(sys.argv[2]) / "compare.cfg"
 cfg.write_text("\\n".join(lines + ["budget = 2"]) + "\\n")
 assert harness.main(["compare", str(cfg), "--out", sys.argv[2] + "/out"]) == 0
 assert not [m for m in unused if m in sys.modules], "loaded by multibo compare"
-spec = multibo.make_benchmark("griewank", dimension=3)
-assert "scipy.optimize" in sys.modules
-print(len(spec.ground_truth))
+specs = [multibo.make_benchmark("griewank", dimension=d) for d in (2, 3, 4, 5)]
+specs.append(multibo.make_benchmark("shubert"))
+assert not [m for m in unused if m in sys.modules], "loaded by a registry"
+print(*[len(spec.ground_truth) for spec in specs])
 """
 
 
-def test_a_synthetic_run_loads_neither_scipy_optimize_nor_spatial(tmp_path):
+def test_no_run_or_registry_loads_scipy_optimize_or_spatial(tmp_path):
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -315,8 +316,8 @@ def test_a_synthetic_run_loads_neither_scipy_optimize_nor_spatial(tmp_path):
     proc = subprocess.run([sys.executable, "-c", SCIPY_UNUSED, str(cfg), str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    # the Griewank registry still polishes, and certifies its four maxima
-    assert proc.stdout.strip().splitlines()[-1] == "4"
+    # the registries certified their maxima without a local search
+    assert proc.stdout.strip().splitlines()[-1] == "4 4 4 4 5"
 
 
 def test_the_blas_pin_leaves_libraries_without_a_setter_alone(capfd):
@@ -389,6 +390,10 @@ def test_triangular_solves_match_scipy(k, capacity):
     F = np.asfortranarray(L)
     np.testing.assert_array_equal(engine._trtrs(F, b, lower=1, trans=1),
                                   solve_triangular(F, b, lower=True, trans="T"))
+    # a rebuild chunk's right-hand sides: the rows of (rows, 1 + n, k) kernel rows
+    rhs = rng.standard_normal((7, 3, k)).reshape(-1, k).T
+    np.testing.assert_array_equal(engine._trtrs(L.T, rhs, lower=0, trans=1),
+                                  solve_triangular(L, rhs, lower=True))
     full[k - 1, k - 1] = 0.0
     with pytest.raises(np.linalg.LinAlgError):
         engine._trtrs(L.T, b, lower=0, trans=1)
@@ -464,8 +469,7 @@ def test_a_multi_chunk_fit_calls_the_kernel_matrices_from_the_calling_thread(axe
                               _recording(SquaredExponential, "eval_matrix", calls)), \
             mock.patch.object(SquaredExponential, "grad_tensor",
                               _recording(SquaredExponential, "grad_tensor", calls)), \
-            mock.patch.object(engine, "solve_triangular",
-                              _recording(engine, "solve_triangular", calls)):
+            mock.patch.object(engine, "_trtrs", _recording(engine, "_trtrs", calls)):
         ev = CandidateEvaluator(kernel, cands, 0.1, capacity=6, axes=axes)
         sys.setswitchinterval(1e-6)
         try:
@@ -474,21 +478,23 @@ def test_a_multi_chunk_fit_calls_the_kernel_matrices_from_the_calling_thread(axe
             sys.setswitchinterval(interval)
     here = threading.get_ident()
     assert [name for name, _ in calls].count("grad_tensor") == 17
-    assert all(thread == here for name, thread in calls if name != "solve_triangular")
-    # the chunks' solves ran on the pool, and gave the serial loop's bits
-    assert all(thread != here for name, thread in calls if name == "solve_triangular")
+    assert all(thread == here for name, thread in calls if name != "_trtrs")
+    # the 17 chunks' solves ran on the pool, z's on this thread, and gave the
+    # serial loop's bits
+    solves = [thread for name, thread in calls if name == "_trtrs"]
+    assert (len(solves), solves.count(here)) == (18, 1)
     np.testing.assert_array_equal(ev._scov, serial._scov)
     np.testing.assert_array_equal(ev._mu, serial._mu)
 
 
-def _slow_solve(*args, **kwargs):
+def _slow_solve(*args, _trtrs=engine._trtrs, **kwargs):
     # the pool falls behind the thread that builds the chunks
     time.sleep(0.02)
-    return solve_triangular(*args, **kwargs)
+    return _trtrs(*args, **kwargs)
 
 
 @mock.patch.object(engine, "_CHUNK", 2_000)
-@mock.patch.object(engine, "solve_triangular", _slow_solve)
+@mock.patch.object(engine, "_trtrs", _slow_solve)
 def test_a_multi_chunk_refit_keeps_at_most_one_chunk_per_worker_alive():
     n, k = 3, 40
     rng = np.random.default_rng(12)

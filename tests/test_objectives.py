@@ -215,3 +215,72 @@ def test_bundled_sample_surface_loads():
     assert surf.bounds[1].tolist() == [0.0, 50.0]
     b = obj.make_benchmark("tabulated", path=str(sample_surface_path()))
     assert b.has_truth  # the synthetic surface is multimodal
+
+
+# the registries' maxima before they were found by bisection: bounded
+# Nelder-Mead from the analytic seeds and the 0.005 Shubert lattice, with
+# xatol 1e-10, fatol 1e-12 and maxiter 2000, in registration order
+NELDER_MEAD_TRUTHS = {
+    "griewank2d": [(7.0954e-09, 4.447330256), (7.0954e-09, -4.447330256),
+                   (3.143164228, -5.2547e-09), (-3.143164228, -5.2547e-09)],
+    "griewank3d": [(-5.8973e-09, 4.447330291, -2.7750e-08), (-5.8973e-09, -4.447330291, -2.7750e-08),
+                   (3.143164242, -1.0345e-08, 9.5052e-09), (-3.143164242, -1.0345e-08, 9.5052e-09)],
+    "griewank4d": [(1.6380e-09, 4.447330277, -2.9108e-08, -4.1852e-08),
+                   (1.6380e-09, -4.447330277, -2.9108e-08, -4.1852e-08),
+                   (3.143164232, 1.7899e-08, 6.7964e-09, -1.9612e-08),
+                   (-3.143164232, 1.7899e-08, 6.7964e-09, -1.9612e-08)],
+    "griewank5d": [(-8.4027e-09, 4.447330253, -9.5683e-09, 1.8031e-09, -3.3414e-09),
+                   (-8.4027e-09, -4.447330253, -9.5683e-09, 1.8031e-09, -3.3414e-09),
+                   (3.143164242, 1.6366e-08, -1.0269e-08, 1.3008e-08, 7.7616e-09),
+                   (-3.143164242, 1.6366e-08, -1.0269e-08, 1.3008e-08, 7.7616e-09)],
+    "shubert": [(-0.8003210992, -0.8003211000), (-1.425128428, -1.425128428),
+                (-1.425128426, -0.1953857503), (-0.1953857503, -1.425128426),
+                (-0.1953857465, -0.1953857506)],
+}
+
+
+def _partial(spec, x, d):
+    """The d-th partial derivative of a Griewank or Shubert objective at
+    ``x``, from its closed form."""
+    if spec.name == "shubert":
+        i = np.arange(1.0, 6.0)
+        other = np.sum(i * np.cos((i + 1.0) * x[1 - d] + i))
+        return -np.sum(i * (i + 1.0) * np.sin((i + 1.0) * x[d] + i)) * other
+    r = np.sqrt(np.arange(1.0, x.size + 1.0))
+    other = np.prod(np.delete(np.cos(x / r), d))
+    return x[d] / 2000.0 + np.sin(x[d] / r[d]) / r[d] * other
+
+
+@pytest.mark.parametrize("name, dim", [("griewank", 2), ("griewank", 3), ("griewank", 4),
+                                       ("griewank", 5), ("shubert", None)])
+def test_registry_maxima_are_bisected_critical_points(name, dim):
+    b = obj.make_benchmark(name, dim)
+    truths = b.ground_truth
+    # within 1e-7 of the local search's maxima, in the same order
+    np.testing.assert_allclose(truths, NELDER_MEAD_TRUTHS[b.name], rtol=0.0, atol=1e-7)
+    if name == "griewank":
+        # on axis 1, then axis 0, each as a +- pair, every other coordinate 0
+        axis = [1, 1, 0, 0]
+        off = np.ones_like(truths, dtype=bool)
+        off[np.arange(4), axis] = False
+        assert np.all(truths[off] == 0.0)
+        np.testing.assert_array_equal(truths[1], -truths[0])
+        np.testing.assert_array_equal(truths[3], -truths[2])
+        assert b.truth_values[0] == b.truth_values[1] and b.truth_values[2] == b.truth_values[3]
+        coords = [(t, [a]) for t, a in zip(truths, axis)]
+    else:
+        coords = [(t, [0, 1]) for t in truths]
+    # each maximum's slope falls through zero within 4 ulps of it
+    for t, axes in coords:
+        for d in axes:
+            below, above = t.copy(), t.copy()
+            below[d] -= 4 * np.spacing(abs(t[d]))
+            above[d] += 4 * np.spacing(abs(t[d]))
+            assert _partial(b, below, d) > 0 > _partial(b, above, d), (t, d)
+
+
+def test_synthetic_registry_keeps_its_bits():
+    b = obj.make_benchmark("synthetic1d")
+    np.testing.assert_array_equal(
+        b.ground_truth.ravel(),
+        [0.08024074408460394, 0.3001626413955414, 0.5238313826871623, 0.7109873689384858])
